@@ -12,7 +12,9 @@
 #include "bench_common.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
@@ -76,4 +78,10 @@ int main(int argc, char** argv) {
       "never surfaces Shifting/Truncation/CS sites - the paper's value-\n"
       "comparison design is what makes those patterns observable.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

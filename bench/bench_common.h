@@ -8,13 +8,19 @@
 //   --trials=N       override the per-target trial count explicitly;
 //   --seed=N         campaign RNG seed;
 //   --legacy         serialize campaigns per region (A/B against batching).
+//
+// Bad input (`--trials=abc`, `--trials=-5`, an unknown app name) throws
+// std::invalid_argument; every binary runs its body through util::run_cli,
+// which reports it and exits with code 2.
 #pragma once
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "core/analysis.h"
 #include "util/cli.h"
 #include "util/stopwatch.h"
@@ -32,7 +38,12 @@ struct BenchConfig {
     const util::Cli cli(argc, argv);
     BenchConfig c;
     c.full = cli.get_bool("full", false);
-    c.trials = static_cast<std::size_t>(cli.get_int("trials", 0));
+    const auto trials = cli.get_int("trials", 0);
+    if (trials < 0) {
+      throw std::invalid_argument("--trials: expected a count >= 0, got " +
+                                  std::to_string(trials));
+    }
+    c.trials = static_cast<std::size_t>(trials);
     c.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0xF11D));
     c.legacy = cli.get_bool("legacy", false);
     return c;
@@ -56,6 +67,32 @@ struct BenchConfig {
     return cfg;
   }
 };
+
+/// Application names from the comma-separated flag `key` (`fallback` when
+/// absent or empty). Throws std::invalid_argument for a name
+/// apps::build_app does not know, or for an empty list.
+inline std::vector<std::string> app_list(const util::Cli& cli,
+                                         const std::string& key,
+                                         const std::string& fallback) {
+  auto csv = cli.get(key, "");
+  if (csv.empty()) csv = fallback;
+  std::vector<std::string> names;
+  std::size_t begin = 0;
+  while (begin <= csv.size()) {
+    const auto comma = csv.find(',', begin);
+    const auto end = comma == std::string::npos ? csv.size() : comma;
+    if (end > begin) {
+      names.push_back(
+          apps::require_app_name(csv.substr(begin, end - begin), key));
+    }
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
+  }
+  if (names.empty()) {
+    throw std::invalid_argument("--" + key + ": no application named");
+  }
+  return names;
+}
 
 inline void print_header(const char* what, const BenchConfig& cfg) {
   std::printf("== FlipTracker reproduction: %s ==\n", what);

@@ -21,12 +21,14 @@
 #include "bench_common.h"
 #include "vm/decode.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
   const auto reps = static_cast<int>(cli.get_int("reps", 3));
-  const auto name = cli.get("app", "CG");
+  const auto name = apps::require_app_name(cli.get("app", "CG"), "app");
   const auto workers = static_cast<std::size_t>(cli.get_int("workers", 1));
   bench::print_header("campaign A/B - snapshot-forked vs from-scratch trials",
                       cfg);
@@ -111,4 +113,10 @@ int main(int argc, char** argv) {
               counts_match ? "identical" : "MISMATCH", forked.result.success,
               forked.result.failed, forked.result.crashed);
   return counts_match ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -126,7 +126,9 @@ inline constexpr std::uint32_t kNoPc = ~std::uint32_t{0};
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   bench::print_header(
       "compose A/B - exhaustive vs composed vs warm-incremental", cfg);
@@ -252,4 +254,10 @@ int main(int argc, char** argv) {
   std::error_code ec;
   std::filesystem::remove_all(store_dir, ec);
   return (all_equal && inc_equal && incremental) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

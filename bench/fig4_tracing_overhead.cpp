@@ -40,7 +40,9 @@ enum class Mode { Plain, PlainDecoded, Columnar, Selective, Exhaustive };
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
   const auto nranks = cli.get_int("ranks", 4);
@@ -141,4 +143,10 @@ int main(int argc, char** argv) {
 
   std::filesystem::remove_all(tmp);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

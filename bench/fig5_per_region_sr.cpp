@@ -14,25 +14,16 @@
 // Extra flags: --apps=CG,MG,...   restrict the app set (smoke runs use CG).
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
+  const auto names =
+      bench::app_list(cli, "apps", "CG,MG,KMEANS,IS,LULESH");
   bench::print_header("Fig. 5 - per-code-region success rates (iteration 0)",
                       cfg);
-
-  std::vector<std::string> names = {"CG", "MG", "KMEANS", "IS", "LULESH"};
-  if (const auto filter = cli.get("apps", ""); !filter.empty()) {
-    names.clear();
-    std::size_t begin = 0;
-    while (begin <= filter.size()) {
-      const auto comma = filter.find(',', begin);
-      const auto end = comma == std::string::npos ? filter.size() : comma;
-      if (end > begin) names.push_back(filter.substr(begin, end - begin));
-      if (comma == std::string::npos) break;
-      begin = comma + 1;
-    }
-  }
 
   core::AnalysisRequest request;
   for (const auto& name : names) request.app(name);
@@ -65,4 +56,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   bench::print_report_meta(report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -8,7 +8,9 @@
 // target) campaign lands on the same batched work queue.
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   bench::print_header("Fig. 6 - per-iteration success rates of the main loop",
@@ -40,4 +42,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   bench::print_report_meta(report);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

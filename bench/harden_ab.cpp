@@ -26,7 +26,9 @@
 #include "bench_common.h"
 #include "harden/harden.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   bench::print_header("hardening A/B - transform pass vs hand-built CG", cfg);
@@ -137,4 +139,10 @@ int main(int argc, char** argv) {
               overhead_ok ? "OK" : "REGRESSION",
               recovery_ok ? "OK" : "INACTIVE");
   return coverage_ok && overhead_ok && recovery_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -16,7 +16,9 @@
 #include "jit/jit_program.h"
 #include "vm/decode.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
@@ -121,4 +123,10 @@ int main(int argc, char** argv) {
               counts_match ? "identical" : "MISMATCH", jitted.result.success,
               jitted.result.failed, jitted.result.crashed);
   return counts_match ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -191,21 +191,6 @@ void BM_LocationEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_LocationEvents);
 
-// The legacy map-of-vectors builder on the same trace — the A/B baseline
-// for the CSR index above.
-void BM_LocationEventsLegacyMap(benchmark::State& state) {
-  auto app = apps::build_lulesh();
-  trace::TraceCollector c;
-  vm::VmOptions opts = app.base;
-  opts.observer = &c;
-  (void)vm::Vm::run(app.module, opts);
-  for (auto _ : state) {
-    auto ev = trace::LegacyLocationEvents::build(c.trace().span());
-    benchmark::DoNotOptimize(ev.num_locations());
-  }
-}
-BENCHMARK(BM_LocationEventsLegacyMap);
-
 // Liveness queries over the CSR index (binary search in per-location
 // spans) — the per-write cost pattern_rates and the ACL sweep pay.
 void BM_LocationEventsQueries(benchmark::State& state) {

@@ -20,22 +20,20 @@
 #include "fault/rank_campaign.h"
 #include "vm/decode.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
   const auto nranks = static_cast<std::int64_t>(cli.get_int("nranks", 4));
-  const auto apps_arg = cli.get("apps", "CG-RANKED,MG-RANKED,LULESH-RANKED");
-  bench::print_header("cross-rank error propagation", cfg);
-
-  std::vector<std::string> names;
-  for (std::size_t pos = 0; pos < apps_arg.size();) {
-    const auto comma = apps_arg.find(',', pos);
-    names.push_back(apps_arg.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  if (nranks < 1) {
+    throw std::invalid_argument("--nranks: expected a world size >= 1, got " +
+                                std::to_string(nranks));
   }
+  const auto names =
+      bench::app_list(cli, "apps", "CG-RANKED,MG-RANKED,LULESH-RANKED");
+  bench::print_header("cross-rank error propagation", cfg);
 
   const std::size_t trials = cfg.trials != 0 ? cfg.trials : 48;
   bool counts_agree = true;
@@ -112,4 +110,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("rank determinism: %s\n", counts_agree ? "OK" : "MISMATCH");
   return counts_agree ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

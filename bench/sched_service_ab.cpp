@@ -104,7 +104,9 @@ bool same_mix(const MixReports& a, const MixReports& b, const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
   bench::print_header("scheduler A/B - work stealing vs single queue", cfg);
@@ -192,4 +194,10 @@ int main(int argc, char** argv) {
     std::printf("sched speedup: %.2fx\n", legacy_ms / sched_ms);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

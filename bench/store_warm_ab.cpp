@@ -23,11 +23,13 @@
 #include "bench_common.h"
 #include "store/artifact_store.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
-  const auto name = cli.get("app", "CG");
+  const auto name = apps::require_app_name(cli.get("app", "CG"), "app");
   const auto reps = static_cast<int>(cli.get_int("reps", 3));
   bench::print_header("store A/B - cold compute vs warm artifact replay",
                       cfg);
@@ -133,4 +135,10 @@ int main(int argc, char** argv) {
   std::error_code ec;
   std::filesystem::remove_all(store_dir, ec);
   return identical && warm_idle ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -22,7 +22,9 @@ struct RegionPatterns {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
   const auto samples =
@@ -94,4 +96,10 @@ int main(int argc, char** argv) {
       "\nPaper shape: MG regions show RA+DO; is_b shows Shifting; KMEANS\n"
       "k_c/k_d show CS/DO; LULESH l_a shows DCL+DO; DO is ubiquitous.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -10,7 +10,9 @@
 #include "util/bits.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
                   ? "PASS (fault tolerated)"
                   : "FAIL");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -14,7 +14,9 @@
 #include "bench_common.h"
 #include "util/stats.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   bench::print_header("Table III - hardening CG with resilience patterns",
@@ -94,4 +96,10 @@ int main(int argc, char** argv) {
       "makea is ~3%% of this mini-CG's instructions - see EXPERIMENTS.md),\n"
       "truncation is a wash, and runtime cost is negligible.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

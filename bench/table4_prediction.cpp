@@ -13,7 +13,9 @@
 #include "bench_common.h"
 #include "model/regression.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   bench::print_header("Table IV - pattern rates and resilience prediction",
@@ -106,4 +108,10 @@ int main(int argc, char** argv) {
               "Shifting 1.48 dominate):\n");
   coef.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

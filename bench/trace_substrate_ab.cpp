@@ -18,12 +18,14 @@
 #include "trace/column.h"
 #include "vm/decode.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
   const auto reps = static_cast<int>(cli.get_int("reps", 5));
-  const auto name = cli.get("app", "CG");
+  const auto name = apps::require_app_name(cli.get("app", "CG"), "app");
   bench::print_header("trace substrate A/B - columnar vs DynInstr observer",
                       cfg);
 
@@ -136,4 +138,10 @@ int main(int argc, char** argv) {
               legacy_patterns.counts == col_patterns.counts ? "equal"
                                                             : "DIFFER");
   return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -12,7 +12,9 @@
 #include "bench_common.h"
 #include "vm/decode.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   using namespace ft;
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
@@ -98,4 +100,10 @@ int main(int argc, char** argv) {
               decoded.result.success, decoded.result.failed,
               decoded.result.crashed);
   return counts_match ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -18,9 +18,11 @@
 
 using namespace ft;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto app_name = cli.get("app", "MG");
+  const auto app_name = apps::require_app_name(cli.get("app", "MG"), "app");
   const auto region_name = cli.get("region", "");
   const auto instance = static_cast<std::uint32_t>(cli.get_int("instance", 0));
   const auto bit = static_cast<std::uint32_t>(cli.get_int("bit", 40));
@@ -123,4 +125,10 @@ int main(int argc, char** argv) {
                   diff.faulty_result, diff.clean_result.outputs,
                   app.verifier))).c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

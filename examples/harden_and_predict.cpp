@@ -24,7 +24,9 @@
 
 using namespace ft;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto trials = static_cast<std::size_t>(cli.get_int("trials", 150));
   const auto holdout = cli.get("holdout", "KMEANS");
@@ -160,4 +162,10 @@ int main(int argc, char** argv) {
                            : 0.0,
               reg.r_squared(x, y));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -20,9 +20,11 @@
 
 using namespace ft;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto app_name = cli.get("app", "CG");
+  const auto app_name = apps::require_app_name(cli.get("app", "CG"), "app");
   const auto trials = static_cast<std::size_t>(cli.get_int("trials", 120));
 
   fault::CampaignConfig cfg;
@@ -85,4 +87,10 @@ int main(int argc, char** argv) {
               "(protection there is wasted); low-SR, high-exposure regions\n"
               "are where detectors/replication pay off.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ft::util::run_cli(argv[0], [&] { return run_main(argc, argv); });
 }

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 namespace ft::apps {
 
@@ -37,20 +38,40 @@ const std::vector<std::string>& all_app_names() {
   return names;
 }
 
+namespace {
+
+struct Builder {
+  std::string_view name;
+  AppSpec (*build)();
+};
+
+/// Every application build_app knows: the ten paper benchmarks and the
+/// rank-decomposed variants.
+constexpr Builder kBuilders[] = {
+    {"CG", build_cg},         {"MG", build_mg},
+    {"IS", build_is},         {"KMEANS", build_kmeans},
+    {"LULESH", build_lulesh}, {"LU", build_lu},
+    {"BT", build_bt},         {"SP", build_sp},
+    {"DC", build_dc},         {"FT", build_ft},
+    {"CG-RANKED", build_cg_ranked},
+    {"MG-RANKED", build_mg_ranked},
+    {"LULESH-RANKED", build_lulesh_ranked},
+};
+
+}  // namespace
+
+std::string require_app_name(std::string name, std::string_view flag) {
+  for (const auto& b : kBuilders) {
+    if (b.name == name) return name;
+  }
+  throw std::invalid_argument("--" + std::string(flag) + ": unknown app '" +
+                              name + "'");
+}
+
 AppSpec build_app(const std::string& name) {
-  if (name == "CG") return build_cg();
-  if (name == "MG") return build_mg();
-  if (name == "IS") return build_is();
-  if (name == "KMEANS") return build_kmeans();
-  if (name == "LULESH") return build_lulesh();
-  if (name == "LU") return build_lu();
-  if (name == "BT") return build_bt();
-  if (name == "SP") return build_sp();
-  if (name == "DC") return build_dc();
-  if (name == "FT") return build_ft();
-  if (name == "CG-RANKED") return build_cg_ranked();
-  if (name == "MG-RANKED") return build_mg_ranked();
-  if (name == "LULESH-RANKED") return build_lulesh_ranked();
+  for (const auto& b : kBuilders) {
+    if (b.name == name) return b.build();
+  }
   throw std::runtime_error("unknown app: " + name);
 }
 

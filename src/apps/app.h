@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/outcome.h"
@@ -98,6 +99,12 @@ struct CgHardening {
 
 /// Registry over all ten paper benchmarks, in Table IV order.
 [[nodiscard]] const std::vector<std::string>& all_app_names();
+/// Build one application by registry name: the ten above or a `*-RANKED`
+/// variant. Throws std::runtime_error for any other name.
 [[nodiscard]] AppSpec build_app(const std::string& name);
+/// `name` itself when build_app accepts it; otherwise throws
+/// std::invalid_argument naming the command-line flag `flag` it came from.
+[[nodiscard]] std::string require_app_name(std::string name,
+                                           std::string_view flag);
 
 }  // namespace ft::apps

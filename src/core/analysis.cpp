@@ -60,6 +60,17 @@ const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked() {
 
 const std::shared_ptr<const trace::ColumnTrace>&
 AnalysisSession::trace_locked() {
+  std::uint64_t trapped_at = 0;
+  const auto& tr = try_trace_locked(&trapped_at);
+  if (!tr) {
+    throw std::runtime_error("traced fault-free run of '" + app_.name +
+                             "' trapped");
+  }
+  return tr;
+}
+
+const std::shared_ptr<const trace::ColumnTrace>&
+AnalysisSession::try_trace_locked(std::uint64_t* trapped_at) {
   if (!trace_) {
     if (store_) {
       // Store-first: mmap the persisted golden trace segments and adopt
@@ -80,11 +91,11 @@ AnalysisSession::trace_locked() {
     opts.observer = nullptr;  // an observer would win over the sink
     opts.column_sink = &sink;
     auto run = vm::Vm::run(*program_, opts);
-    if (!run.completed()) {
-      throw std::runtime_error("traced fault-free run of '" + app_.name +
-                               "' trapped");
-    }
     traced_executed_.fetch_add(run.instructions, std::memory_order_relaxed);
+    if (!run.completed()) {
+      *trapped_at = run.instructions;
+      return trace_;  // still null
+    }
     if (!golden_) {
       golden_ = std::make_shared<const vm::RunResult>(std::move(run));
     }
@@ -199,10 +210,15 @@ AnalysisSession::whole_program_sites() {
         return whole_sites_;
       }
     }
-    // The whole-program enumeration performs its own traced run.
-    auto ws = fault::enumerate_whole_program_sites(*program_, app_.base);
-    traced_executed_.fetch_add(ws.fault_free_instructions,
-                               std::memory_order_relaxed);
+    // One columnar scan of the golden trace; a trapping golden run leaves
+    // an empty population with region_found == false.
+    std::uint64_t trapped_at = 0;
+    fault::SiteEnumerationResult ws;
+    if (const auto& tr = try_trace_locked(&trapped_at)) {
+      ws = fault::enumerate_whole_program_sites(*tr);
+    } else {
+      ws.fault_free_instructions = trapped_at;
+    }
     whole_sites_ =
         std::make_shared<const fault::SiteEnumerationResult>(std::move(ws));
     if (store_) store_->publish_sites(sk, *whole_sites_);
@@ -866,8 +882,8 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
       bool served = false;
       if (store) {
         if (auto cached = store->load_campaign(ck)) {
-          // Served verbatim — the whole-program site enumeration (its own
-          // traced run on a cold cache) is skipped entirely.
+          // Served verbatim — the whole-program site enumeration (a scan
+          // of the golden trace) is skipped entirely.
           app_report.whole_app = *cached;
           ++report.campaigns_from_store;
           cached_trials += cached->trials;

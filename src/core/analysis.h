@@ -156,10 +156,11 @@ class AnalysisSession {
   [[nodiscard]] std::uint64_t options_hash() const noexcept {
     return options_hash_.load(std::memory_order_relaxed);
   }
-  /// Dynamic instructions this session actually executed on traced golden
-  /// runs (trace production and whole-program site enumeration). Serving
-  /// those artifacts from the store does not grow it — the warm-path proof
-  /// counter behind AnalysisReport::golden_traced_instructions.
+  /// Dynamic instructions this session actually executed on its traced
+  /// golden run (whole-program and per-region sites are enumerated from
+  /// that one trace, so they add nothing). Serving the trace from the store
+  /// does not grow it — the warm-path proof counter behind
+  /// AnalysisReport::golden_traced_instructions.
   [[nodiscard]] std::uint64_t traced_instructions_executed() const noexcept {
     return traced_executed_.load(std::memory_order_relaxed);
   }
@@ -223,6 +224,11 @@ class AnalysisSession {
   // All *_locked helpers assume mu_ is held and may compute + fill caches.
   const std::shared_ptr<const vm::RunResult>& golden_locked();
   const std::shared_ptr<const trace::ColumnTrace>& trace_locked();
+  /// The golden trace, or null when the traced fault-free run traps (its
+  /// retired instruction count then lands in `*trapped_at`). trace_locked()
+  /// throws instead.
+  const std::shared_ptr<const trace::ColumnTrace>& try_trace_locked(
+      std::uint64_t* trapped_at);
   /// Record-count reserve hint for differential runs: the golden
   /// instruction count when the golden run is cached, else 0.
   [[nodiscard]] std::size_t diff_reserve_hint() const;

@@ -100,49 +100,50 @@ SiteEnumerationResult enumerate_sites(const ir::Module& m,
   return out;
 }
 
-namespace {
-
-// A lightweight observer suffices: only (index, width) pairs are needed,
-// so the full trace is never materialized.
-class SiteObserver final : public vm::ExecObserver {
- public:
-  explicit SiteObserver(std::vector<InternalSite>& out) : out_(out) {}
-  void on_instruction(const vm::DynInstr& d) override {
-    if (d.result_loc == vm::kNoLoc) return;
-    const ir::Type t = d.op == ir::Opcode::Store ? d.op_type[0] : d.type;
-    const auto width = bit_width(t);
-    if (width != 0) out_.push_back(InternalSite{d.index, width});
-  }
-
- private:
-  std::vector<InternalSite>& out_;
-};
-
-template <typename Executable>
-SiteEnumerationResult whole_program_sites_impl(const Executable& exe,
-                                               const vm::VmOptions& base) {
+SiteEnumerationResult enumerate_whole_program_sites(
+    const trace::ColumnTrace& golden) {
   SiteEnumerationResult out;
-  SiteObserver obs(out.sites.internal);
-  vm::VmOptions opts = base;
-  opts.observer = &obs;
-  opts.fault = vm::FaultPlan::none();
-  const auto run = vm::Vm::run(exe, opts);
-  out.fault_free_instructions = run.instructions;
-  out.region_found = run.completed();
-  if (!run.completed()) out.sites.internal.clear();
+  out.fault_free_instructions = golden.size();
+  out.region_found = true;
+  const vm::Src* const srcs = golden.program().srcs();
+  golden.view().scan_locations([&](std::size_t row,
+                                   const vm::DecodedInstr& ins,
+                                   const trace::RecordLocations& locs) {
+    if (locs.result_loc == vm::kNoLoc) return;
+    // A Store commits its value operand (op slot 0); everything else its
+    // result type.
+    ir::Type t = ins.type;
+    if (ins.op == ir::Opcode::Store) {
+      const vm::Src& value = srcs[ins.src_begin];
+      t = value.kind == vm::SrcKind::None ? ir::Type::Void : value.type;
+    }
+    const auto width = bit_width(t);
+    if (width != 0) out.sites.internal.push_back(InternalSite{row, width});
+  });
   return out;
-}
-
-}  // namespace
-
-SiteEnumerationResult enumerate_whole_program_sites(const ir::Module& m,
-                                                    const vm::VmOptions& base) {
-  return whole_program_sites_impl(m, base);
 }
 
 SiteEnumerationResult enumerate_whole_program_sites(
     const vm::DecodedProgram& program, const vm::VmOptions& base) {
-  return whole_program_sites_impl(program, base);
+  // The trace only reads `program` during this call: a non-owning pointer.
+  trace::ColumnTrace golden(std::shared_ptr<const vm::DecodedProgram>(
+      std::shared_ptr<const vm::DecodedProgram>{}, &program));
+  vm::VmOptions opts = base;
+  opts.observer = nullptr;  // an observer would win over the sink
+  opts.column_sink = &golden;
+  opts.fault = vm::FaultPlan::none();
+  const auto run = vm::Vm::run(program, opts);
+  if (!run.completed()) {
+    SiteEnumerationResult out;
+    out.fault_free_instructions = run.instructions;
+    return out;
+  }
+  return enumerate_whole_program_sites(golden);
+}
+
+SiteEnumerationResult enumerate_whole_program_sites(const ir::Module& m,
+                                                    const vm::VmOptions& base) {
+  return enumerate_whole_program_sites(vm::DecodedProgram::decode(m), base);
 }
 
 vm::FaultPlan plan_for_internal(const InternalSite& s, std::uint32_t bit) {

@@ -14,6 +14,7 @@
 
 #include "ir/module.h"
 #include "regions/io.h"
+#include "trace/column.h"
 #include "trace/events.h"
 #include "trace/segment.h"
 #include "vm/fault_plan.h"
@@ -86,15 +87,20 @@ struct SiteEnumerationResult {
 
 /// Enumerate internal sites over the whole program (every committed value
 /// of the full run) — the population for whole-application success rates
-/// (Tables III and IV). Input sites are left empty.
+/// (Tables III and IV). Input sites are left empty. One columnar scan of
+/// the golden trace: no record is materialized and nothing re-executes.
 [[nodiscard]] SiteEnumerationResult enumerate_whole_program_sites(
-    const ir::Module& m, const vm::VmOptions& base);
+    const trace::ColumnTrace& golden);
 
-/// Decoded-engine form of the whole-program enumeration: the traced run
-/// executes the shared pre-decoded program (bit-identical record stream),
-/// so sessions that already decoded the app pay no extra walk of the IR.
+/// Trace the fault-free run, then enumerate as above. A run that traps
+/// yields region_found == false and an empty population (no throw).
+/// `base` supplies seed/mpi; its observer/fault fields are ignored.
 [[nodiscard]] SiteEnumerationResult enumerate_whole_program_sites(
     const vm::DecodedProgram& program, const vm::VmOptions& base);
+
+/// Module form: decodes `m`, then traces and enumerates as above.
+[[nodiscard]] SiteEnumerationResult enumerate_whole_program_sites(
+    const ir::Module& m, const vm::VmOptions& base);
 
 /// Build the concrete fault plan for one sampled site.
 [[nodiscard]] vm::FaultPlan plan_for_internal(const InternalSite& s,

@@ -24,6 +24,13 @@
 /// descriptors, and record indices are row numbers (a ColumnTrace always
 /// holds one contiguous stream from dynamic instruction 0).
 ///
+/// One per-row location decoder (ColumnTrace::scan_locations / locations)
+/// turns the pc, activation, operand-pool and escape columns into a record's
+/// read and write locations. materialize() runs it too, so the golden
+/// passes that only need locations (the liveness index, pattern rates,
+/// whole-program sites) read the columns with the same record shapes as
+/// every DynInstr consumer, without building a 128-byte record per row.
+///
 /// Net effect (the "memory of a trace"): ~20 fixed bytes + 8 bytes per
 /// recorded operand instead of 128, a 3-4x resident-size reduction on the
 /// paper workloads, measured by bench/trace_substrate_ab.cpp.
@@ -45,9 +52,12 @@
 /// campaigns in any number of later processes.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "vm/decode.h"
@@ -56,6 +66,22 @@
 namespace ft::trace {
 
 class TraceView;
+
+/// The read and write locations of one record: the part of a vm::DynInstr
+/// that liveness and def-use analyses need. Memory effective addresses are
+/// locations too (mem_loc(addr) == addr): a Load reads op_loc[0], a Store
+/// writes result_loc.
+struct RecordLocations {
+  ir::Opcode op = ir::Opcode::Br;
+  std::uint8_t nops = 0;
+  std::array<vm::Location, vm::kMaxTracedOps> op_loc{};  // reads
+  vm::Location result_loc = vm::kNoLoc;                  // the write
+
+  /// The locations of an already materialized record.
+  [[nodiscard]] static RecordLocations of(const vm::DynInstr& d) noexcept {
+    return RecordLocations{d.op, d.nops, d.op_loc, d.result_loc};
+  }
+};
 
 class ColumnTrace {
  public:
@@ -204,6 +230,30 @@ class ColumnTrace {
     return d;
   }
 
+  /// Locations of row `row` (random access: one binary search of the
+  /// escape list when the trace has any).
+  [[nodiscard]] RecordLocations locations(std::size_t row) const {
+    RecordLocations out;
+    std::size_t esc = num_extras() == 0 ? 0 : extras_lower_bound(row);
+    decode_locations(row, esc, out, nullptr);
+    return out;
+  }
+  /// Call `fn(row, ins, locs)` for every row in [begin, end), in order:
+  /// `ins` is the row's vm::DecodedInstr, `locs` its RecordLocations. The
+  /// escape list is walked alongside the rows, so a full scan costs no
+  /// search at all.
+  template <class Fn>
+  void scan_locations(std::size_t begin, std::size_t end, Fn&& fn) const {
+    const vm::DecodedInstr* const code = prog_->code();
+    const std::uint32_t* const pcs = pc_col();
+    std::size_t esc = num_extras() == 0 ? 0 : extras_lower_bound(begin);
+    RecordLocations locs;
+    for (std::size_t row = begin; row < end; ++row) {
+      decode_locations(row, esc, locs, nullptr);
+      fn(row, code[pcs[row]], locs);
+    }
+  }
+
   /// Cheap static peeks that skip materialization (columnar scans).
   [[nodiscard]] ir::Opcode opcode_at(std::size_t row) const noexcept {
     return prog_->code()[pc_col()[row]].op;
@@ -265,13 +315,13 @@ class ColumnTrace {
     return borrowed_ ? bor_.num_extras : extras_.size();
   }
 
-  /// Location of operand slot `i` (descriptor `s`) of a record executed by
-  /// `activation`; escapes are resolved by the caller.
-  [[nodiscard]] static vm::Location derived_src_loc(
-      const vm::Src& s, std::uint64_t activation) noexcept {
-    return s.kind == vm::SrcKind::Reg ? vm::reg_loc(activation, s.index)
-                                      : vm::kNoLoc;
-  }
+  /// The location decoder: fill `out` with the locations of row `row`.
+  /// `esc` is the first escape entry with row >= `row` and is advanced past
+  /// this row's entries. A flipped Load value escape, if any, lands in
+  /// `*load_value` (when non-null).
+  inline void decode_locations(std::size_t row, std::size_t& esc,
+                               RecordLocations& out,
+                               std::uint64_t* load_value) const;
   /// First escape entry of `row` (extras are appended in row order).
   [[nodiscard]] std::size_t extras_lower_bound(std::uint64_t row) const;
 
@@ -298,6 +348,8 @@ class TraceView {
   [[nodiscard]] std::size_t size() const noexcept { return end_ - begin_; }
   [[nodiscard]] bool empty() const noexcept { return begin_ == end_; }
   [[nodiscard]] const ColumnTrace& trace() const noexcept { return *trace_; }
+  /// Row (== dynamic index) of the view's first record.
+  [[nodiscard]] std::size_t first_row() const noexcept { return begin_; }
 
   /// i-th record of the view (relative).
   [[nodiscard]] vm::DynInstr record(std::size_t i) const {
@@ -311,6 +363,11 @@ class TraceView {
     const auto lo = std::max<std::uint64_t>(begin, begin_);
     const auto hi = std::min<std::uint64_t>(end, end_);
     return lo < hi ? TraceView(trace_, lo, hi) : TraceView(trace_, end_, end_);
+  }
+  /// ColumnTrace::scan_locations over the rows of this view.
+  template <class Fn>
+  void scan_locations(Fn&& fn) const {
+    trace_->scan_locations(begin_, end_, std::forward<Fn>(fn));
   }
   /// First `n` records of the view.
   [[nodiscard]] TraceView prefix(std::size_t n) const noexcept {
@@ -354,6 +411,83 @@ class TraceView {
   std::size_t begin_ = 0;
   std::size_t end_ = 0;
 };
+
+inline void ColumnTrace::decode_locations(std::size_t row, std::size_t& esc,
+                                          RecordLocations& out,
+                                          std::uint64_t* load_value) const {
+  const vm::DecodedInstr& ins = prog_->code()[pc_col()[row]];
+  const std::uint64_t act = activation_col()[row];
+  const vm::Src* const srcs = prog_->srcs() + ins.src_begin;
+
+  // Escaped locations of this row (rare: Arg operands, Ret commits).
+  vm::Location esc_op[vm::kMaxTracedOps] = {vm::kNoLoc, vm::kNoLoc,
+                                            vm::kNoLoc};
+  vm::Location esc_result = vm::kNoLoc;
+  const Extra* const extras = extras_col();
+  for (const std::size_t n = num_extras(); esc < n && extras[esc].row == row;
+       ++esc) {
+    switch (extras[esc].slot) {
+      case kResultSlot: esc_result = extras[esc].loc; break;
+      case kLoadValueSlot:
+        if (load_value) *load_value = extras[esc].loc;
+        break;
+      default:
+        esc_op[static_cast<std::size_t>(extras[esc].slot)] = extras[esc].loc;
+        break;
+    }
+  }
+  const auto src_loc = [&](const vm::Src& s, unsigned slot) {
+    switch (s.kind) {
+      case vm::SrcKind::Reg: return vm::reg_loc(act, s.index);
+      case vm::SrcKind::Arg: return esc_op[slot];
+      default: return vm::kNoLoc;
+    }
+  };
+
+  out.op = ins.op;
+  out.op_loc = {};
+  if (ins.op == ir::Opcode::Load) {
+    // Record shape: [0] = the memory cell, [1] = the pointer dependence.
+    // The pool holds the pointer value.
+    out.nops = 2;
+    out.op_loc[0] = vm::mem_loc(op_bits_col()[ops_offset_col()[row]]);
+    out.op_loc[1] = src_loc(srcs[0], 0);
+    out.result_loc = vm::reg_loc(act, ins.result);
+    return;
+  }
+
+  out.nops = ins.nops;
+  const auto nrec = std::min<unsigned>(ins.src_count, vm::kMaxTracedOps);
+  for (unsigned i = 0; i < nrec; ++i) out.op_loc[i] = src_loc(srcs[i], i);
+
+  switch (ins.op) {
+    case ir::Opcode::Store: {
+      // op slots: [0] = stored value, [1] = address; the write is the
+      // address's memory cell.
+      std::uint64_t addr = 0;
+      if (nrec > 1 && srcs[1].kind != vm::SrcKind::None) {
+        const unsigned k = srcs[0].kind != vm::SrcKind::None ? 1 : 0;
+        addr = op_bits_col()[ops_offset_col()[row] + k];
+      }
+      out.result_loc = vm::mem_loc(addr);
+      break;
+    }
+    case ir::Opcode::Ret:
+      out.result_loc = esc_result;  // the caller's register, if any
+      break;
+    case ir::Opcode::Emit:
+    case ir::Opcode::EmitTrunc:
+    case ir::Opcode::Call:
+      // Emitted bits have no location; a Call's result is committed (and
+      // recorded) by the matching Ret.
+      out.result_loc = vm::kNoLoc;
+      break;
+    default:
+      out.result_loc = ins.result != ir::kNoReg ? vm::reg_loc(act, ins.result)
+                                                : vm::kNoLoc;
+      break;
+  }
+}
 
 inline TraceView ColumnTrace::view() const noexcept {
   return TraceView(this, 0, size());

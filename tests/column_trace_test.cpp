@@ -5,8 +5,8 @@
 //    record-by-record bit-identical for all ten workloads, clean, faulted
 //    and trapping (the direct-emit hot loop must roll back the partial
 //    record of an instruction that traps mid-flight);
-//  * the CSR LocationEvents vs the legacy map-of-vectors builder —
-//    query-by-query identical over every touched location;
+//  * the CSR LocationEvents vs the map-of-vectors oracle (tests/oracles.h)
+//    — query-by-query identical over every touched location;
 //  * diff_run_columnar vs diff_run — identical faulty streams, clean
 //    columns, differs bits, and downstream ACL series / pattern counts.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "acl/table.h"
 #include "apps/app.h"
 #include "core/analysis.h"
+#include "oracles.h"
 #include "patterns/detect.h"
 #include "trace/collector.h"
 #include "trace/column.h"
@@ -175,7 +176,7 @@ TEST(LocationEventsCsr, QueryByQueryMatchesLegacyMap) {
   std::vector<vm::DynInstr> records;
   records.reserve(columnar.size());
   for (const vm::DynInstr& r : columnar.view()) records.push_back(r);
-  const auto legacy = trace::LegacyLocationEvents::build(records);
+  const auto legacy = oracle::LegacyLocationEvents::build(records);
 
   ASSERT_EQ(csr.num_locations(), legacy.num_locations());
 
@@ -196,6 +197,8 @@ TEST(LocationEventsCsr, QueryByQueryMatchesLegacyMap) {
         ASSERT_EQ(csr.touched_after(loc, at), legacy.touched_after(loc, at));
         ASSERT_EQ(csr.read_before_overwrite_after(loc, at),
                   legacy.read_before_overwrite_after(loc, at));
+        ASSERT_EQ(csr.last_write_before(loc, at),
+                  legacy.last_write_before(loc, at));
         probes++;
       }
     }

@@ -66,7 +66,9 @@ bool same_columns(const trace::ColumnTrace& a, const trace::ColumnTrace& b) {
          std::memcmp(ra.ops_offset, rb.ops_offset, 4 * ra.rows) == 0 &&
          std::memcmp(ra.result_bits, rb.result_bits, 8 * ra.rows) == 0 &&
          std::memcmp(ra.op_bits, rb.op_bits, 8 * ra.ops) == 0 &&
-         std::memcmp(ra.extras, rb.extras, 24 * ra.num_extras) == 0;
+         // An empty escape list may have null data: memcmp needs non-null.
+         (ra.num_extras == 0 ||
+          std::memcmp(ra.extras, rb.extras, 24 * ra.num_extras) == 0);
 }
 
 /// Golden columnar trace of one app spec (direct-emit traced run).

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "../bench/bench_common.h"
 #include "util/bits.h"
 #include "util/cli.h"
 #include "util/hash.h"
@@ -311,6 +312,67 @@ TEST(Cli, ParsesFlagsAndPositionals) {
   EXPECT_EQ(cli.get_int("absent", 7), 7);
   EXPECT_DOUBLE_EQ(cli.get_double("absent", 0.5), 0.5);
   EXPECT_FALSE(cli.get_bool("off", true) == false);
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog",        "--trials=abc", "--seed=12x",
+                        "--bare",      "--rate=0.25",  "--tol=1e-3",
+                        "--neg=-5",    "--empty=",     "--frac=1.5.2"};
+  Cli cli(9, argv);
+  // Today's silent zero for `--trials=abc` meant a paper-scale campaign.
+  EXPECT_THROW((void)cli.get_int("trials", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("seed", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("bare", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("rate", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("frac", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("trials", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("neg", 0), -5);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(cli.get_double("tol", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(cli.get_double("neg", 0.0), -5.0);
+  // The error names the flag and the rejected text.
+  try {
+    (void)cli.get_int("trials", 0);
+    FAIL() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--trials"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos);
+  }
+}
+
+TEST(Cli, BenchConfigRejectsNegativeTrials) {
+  char prog[] = "prog";
+  char neg[] = "--trials=-5";
+  char bad[] = "--trials=abc";
+  char ok[] = "--trials=7";
+  char* argv_neg[] = {prog, neg};
+  char* argv_bad[] = {prog, bad};
+  char* argv_ok[] = {prog, ok};
+  EXPECT_THROW((void)bench::BenchConfig::parse(2, argv_neg),
+               std::invalid_argument);
+  EXPECT_THROW((void)bench::BenchConfig::parse(2, argv_bad),
+               std::invalid_argument);
+  EXPECT_EQ(bench::BenchConfig::parse(2, argv_ok).trials, 7u);
+}
+
+TEST(Cli, AppListRejectsUnknownNames) {
+  const char* good[] = {"prog", "--apps=CG,LULESH-RANKED"};
+  EXPECT_EQ(bench::app_list(Cli(2, good), "apps", "MG"),
+            (std::vector<std::string>{"CG", "LULESH-RANKED"}));
+  const char* none[] = {"prog"};
+  EXPECT_EQ(bench::app_list(Cli(1, none), "apps", "MG"),
+            (std::vector<std::string>{"MG"}));
+  const char* bad[] = {"prog", "--apps=CG,XYZ"};
+  EXPECT_THROW((void)bench::app_list(Cli(2, bad), "apps", "MG"),
+               std::invalid_argument);
+  // run_cli turns the rejection into exit code 2.
+  EXPECT_EQ(run_cli("prog",
+                           [&] {
+                             (void)bench::app_list(Cli(2, bad), "apps", "MG");
+                             return 0;
+                           }),
+            2);
 }
 
 // --- table ----------------------------------------------------------------------------
