@@ -6,8 +6,7 @@
 //                    a reduced trial count so `for b in build/bench/*` runs
 //                    in minutes on two cores;
 //   --trials=N       override the per-target trial count explicitly;
-//   --seed=N         campaign RNG seed;
-//   --legacy         serialize campaigns per region (A/B against batching).
+//   --seed=N         campaign RNG seed.
 //
 // Bad input (`--trials=abc`, `--trials=-5`, an unknown app name) throws
 // std::invalid_argument; every binary runs its body through util::run_cli,
@@ -32,7 +31,6 @@ struct BenchConfig {
   bool full = false;
   std::size_t trials = 0;  // 0 = pick: full ? Leveugle : quick_default
   std::uint64_t seed = 0xF11Dull;
-  bool legacy = false;  // per-region serialized campaigns (old facade flow)
 
   static BenchConfig parse(int argc, char** argv) {
     const util::Cli cli(argc, argv);
@@ -45,13 +43,7 @@ struct BenchConfig {
     }
     c.trials = static_cast<std::size_t>(trials);
     c.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0xF11D));
-    c.legacy = cli.get_bool("legacy", false);
     return c;
-  }
-
-  [[nodiscard]] core::ExecutionMode mode() const noexcept {
-    return legacy ? core::ExecutionMode::LegacyPerRegion
-                  : core::ExecutionMode::Batched;
   }
 
   /// Campaign config for one target. With --full, trials=0 lets the
@@ -104,11 +96,10 @@ inline void print_header(const char* what, const BenchConfig& cfg) {
 /// per-figure tables come from the entries, this is the throughput footer.
 inline void print_report_meta(const core::AnalysisReport& report) {
   std::printf(
-      "\nschedule: %zu campaign unit%s, %zu trials, %zu pool batch%s on "
-      "%zu workers\n",
+      "\nschedule: %zu campaign unit%s, %zu trials, one work queue on %zu "
+      "workers\n",
       report.campaign_units, report.campaign_units == 1 ? "" : "s",
-      report.total_trials, report.pool_batches,
-      report.pool_batches == 1 ? "" : "es", report.pool_workers);
+      report.total_trials, report.pool_workers);
   std::printf("campaign wall: %.1f ms (%.0f trials/s); total wall: %.1f ms\n",
               report.campaign_ms, report.trials_per_second(), report.wall_ms);
   std::printf("campaign instructions: %llu (%.1f M instr/s, decoded engine)\n",

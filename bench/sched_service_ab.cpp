@@ -1,25 +1,30 @@
-// Scheduler A/B on an imbalanced multi-request mix: three concurrent
-// clients — a CG whole-app campaign (light), a LULESH-RANKED cross-rank
-// campaign (heavy), and an MG compositional campaign (medium) — run against
-// the legacy single-queue ThreadPool and against the work-stealing
-// Scheduler (util/scheduler.h) at the same worker count. The mix is exactly
-// the shape the single FIFO queue handles worst: one long request convoys
-// the short ones behind its coarse chunks, while the work-stealing deques
-// interleave all three and fine-grained chunk claiming keeps the tail
-// balanced. scripts/bench_smoke.sh gates the speedup (>= 1.3x on multi-core
-// hosts; reported as skipped on boxes with < 4 cores, where wall clock
-// equals total CPU work for every scheduler).
+// Scheduler scaling: two workloads, each run on util::Scheduler(1) and on
+// util::Scheduler(W) (W = --workers, default hardware_concurrency):
 //
-// Outcome counts must be IDENTICAL between both executors and the
-// CampaignService leg — plans are drawn per unit from the seeds, never from
-// the schedule — and the bench exits nonzero on any mismatch. The third leg
-// routes the same mix through core::CampaignService to cover the async
-// front end end-to-end (admission, shared sessions, single-flight store
-// semantics are exercised by tests/service_test.cpp; here the service must
-// simply reproduce the same counts while multiplexing the mix).
+//  - the Fig. 5 request on CG (every analysis region x {internal, input},
+//    --trials per region and target, default 40), dispatched as ONE
+//    batched work queue;
+//  - an imbalanced mix of three concurrent clients sharing one scheduler —
+//    a CG whole-app campaign (light), a LULESH-RANKED cross-rank campaign
+//    (heavy) and an MG compositional campaign (medium) — the service front
+//    end's admission pattern, minus the service. Its trial counts are fixed:
+//    the imbalance is the point, and it is long enough (several hundred ms
+//    on four workers) that the speedup is measurable.
+//
+// On one worker every parallel_for runs inline on its caller, so the
+// 1-worker Fig. 5 leg is serial and the 1-worker mix is three serial
+// clients. scripts/bench_smoke.sh gates each speedup against an absolute
+// floor (section 3: the Fig. 5 request; section 10: the mix) on hosts with
+// >= 4 cores; smaller hosts print "skipped", since there wall clock tracks
+// total CPU work whatever the worker count.
+//
+// Outcome counts must be IDENTICAL across worker counts, repetitions and a
+// third mix leg routed through core::CampaignService (plans are drawn per
+// unit from the seeds, never from the schedule); the bench exits nonzero on
+// any mismatch.
 //
 //   sched_service_ab [--trials=N] [--seed=N] [--workers=N]
-#include <cstdlib>
+#include <algorithm>
 #include <thread>
 
 #include "bench_common.h"
@@ -53,18 +58,17 @@ core::AnalysisRequest mg_request(const MixConfigs& mix) {
   return core::AnalysisRequest().app("MG").compositional(mix.mg);
 }
 
-/// The three clients as three concurrent threads sharing one executor —
-/// the service front end's admission pattern, minus the service.
-MixReports run_mix(util::Executor& exec, const MixConfigs& mix) {
+/// The three clients as three concurrent threads sharing one scheduler.
+MixReports run_mix(util::Scheduler& sched, const MixConfigs& mix) {
   MixReports out;
   util::Stopwatch sw;
   std::thread t_cg(
-      [&] { out.cg = core::run_analysis(cg_request(mix).pool(&exec)); });
+      [&] { out.cg = core::run_analysis(cg_request(mix).pool(&sched)); });
   std::thread t_lu([&] {
-    out.lulesh = core::run_analysis(lulesh_request(mix).pool(&exec));
+    out.lulesh = core::run_analysis(lulesh_request(mix).pool(&sched));
   });
   std::thread t_mg(
-      [&] { out.mg = core::run_analysis(mg_request(mix).pool(&exec)); });
+      [&] { out.mg = core::run_analysis(mg_request(mix).pool(&sched)); });
   t_cg.join();
   t_lu.join();
   t_mg.join();
@@ -98,69 +102,88 @@ bool same_mix(const MixReports& a, const MixReports& b, const char* what) {
                        *b.lulesh.find_app("LULESH-RANKED")->rank_campaign) &&
       same_counts(a.mg.find_app("MG")->compositional->counts,
                   b.mg.find_app("MG")->compositional->counts);
-  if (!ok) std::printf("COUNT MISMATCH: %s\n", what);
+  if (!ok) std::printf("COUNT MISMATCH: mix, %s\n", what);
   return ok;
 }
 
-}  // namespace
-
-namespace {
+bool same_entries(const core::AnalysisReport& a, const core::AnalysisReport& b,
+                  const char* what) {
+  bool ok = a.entries.size() == b.entries.size();
+  for (std::size_t i = 0; ok && i < a.entries.size(); ++i) {
+    ok = same_counts(a.entries[i].campaign, b.entries[i].campaign);
+  }
+  if (!ok) std::printf("COUNT MISMATCH: fig5 request, %s\n", what);
+  return ok;
+}
 
 int run_main(int argc, char** argv) {
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
-  bench::print_header("scheduler A/B - work stealing vs single queue", cfg);
+  bench::print_header("scheduler scaling - 1 worker vs all cores", cfg);
 
-  const unsigned cores = std::thread::hardware_concurrency();
-  const auto workers = static_cast<std::size_t>(
-      cli.get_int("workers", static_cast<long>(std::max(4u, cores))));
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const auto workers_arg = cli.get_int("workers", static_cast<long>(cores));
+  if (workers_arg < 1) {
+    throw std::invalid_argument("--workers: expected a count >= 1, got " +
+                                std::to_string(workers_arg));
+  }
+  const auto workers = static_cast<std::size_t>(workers_arg);
 
+  const auto fig5 = core::AnalysisRequest()
+                        .app("CG")
+                        .analysis_regions()
+                        .target(fault::TargetClass::Internal)
+                        .target(fault::TargetClass::Input)
+                        .success_rates(cfg.campaign(40));
   MixConfigs mix;
-  mix.cg = cfg.campaign(48);
+  mix.cg.trials = 192;
   mix.cg.seed = cfg.seed;
   mix.rank.nranks = 4;
-  mix.rank.trials = cfg.trials != 0 ? cfg.trials : (cfg.full ? 0 : 12);
+  mix.rank.trials = 48;
   mix.rank.seed = cfg.seed;
-  mix.mg = cfg.campaign(32);
+  mix.mg.trials = 128;
   mix.mg.seed = cfg.seed;
 
-  std::printf("mix: CG app campaign + LULESH-RANKED rank campaign (4 ranks) "
-              "+ MG compositional, 3 concurrent clients, %zu workers\n\n",
-              workers);
+  std::printf("fig5 request: CG, every analysis region x {internal, input}\n"
+              "mix: CG app campaign (%zu trials) + LULESH-RANKED rank "
+              "campaign (4 ranks, %zu trials) + MG compositional (%zu "
+              "trials), 3 concurrent clients\n\n",
+              mix.cg.trials, mix.rank.trials, mix.mg.trials);
 
-  // Alternate legs to keep cache/frequency effects symmetric; best-of.
-  double legacy_ms = 1e30;
-  double sched_ms = 1e30;
-  MixReports legacy_mix;
-  MixReports sched_mix;
+  // Alternate worker counts to keep cache/frequency effects symmetric;
+  // best-of per leg. Index 0 is one worker, index 1 all workers.
+  double fig5_best[2] = {1e30, 1e30};
+  double mix_best[2] = {1e30, 1e30};
+  core::AnalysisReport fig5_ref;
+  MixReports mix_ref;
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
-    {
-      util::ThreadPool pool(workers);
-      auto r = run_mix(pool, mix);
-      if (rep > 0 && !same_mix(r, legacy_mix, "legacy across reps")) return 1;
-      if (r.wall_ms < legacy_ms) legacy_ms = r.wall_ms;
-      legacy_mix = std::move(r);
-    }
-    {
-      util::Scheduler sched(workers);
-      auto r = run_mix(sched, mix);
-      if (rep > 0 && !same_mix(r, sched_mix, "scheduler across reps")) {
+    for (const int k : {0, 1}) {
+      const std::size_t n = k == 0 ? 1 : workers;
+      util::Scheduler sched(n);
+      auto f = core::run_analysis(core::AnalysisRequest(fig5).pool(&sched));
+      auto m = run_mix(sched, mix);
+      const double fig5_ms = f.wall_ms;
+      const double mix_ms = m.wall_ms;
+      if (rep == 0 && k == 0) {
+        fig5_ref = std::move(f);
+        mix_ref = std::move(m);
+      } else if (!same_entries(f, fig5_ref, "across worker counts") ||
+                 !same_mix(m, mix_ref, "across worker counts")) {
         return 1;
       }
-      if (r.wall_ms < sched_ms) sched_ms = r.wall_ms;
-      sched_mix = std::move(r);
-      std::printf("rep %d: legacy %.1f ms, work-stealing %.1f ms "
+      fig5_best[k] = std::min(fig5_best[k], fig5_ms);
+      mix_best[k] = std::min(mix_best[k], mix_ms);
+      std::printf("rep %d, %zu worker%s: fig5 %.1f ms, mix %.1f ms "
                   "(%llu steals, max queue depth %llu)\n",
-                  rep, legacy_mix.wall_ms, r.wall_ms,
+                  rep, n, n == 1 ? "" : "s", fig5_ms, mix_ms,
                   static_cast<unsigned long long>(sched.steals()),
                   static_cast<unsigned long long>(sched.queue_depth_max()));
     }
   }
-  if (!same_mix(sched_mix, legacy_mix, "scheduler vs legacy")) return 1;
 
-  // Third leg: the same mix through the async service front end. Counts
-  // must again be identical; the stats line shows the multiplexing.
+  // Third mix leg: the async service front end on all workers. Counts must
+  // again be identical; the stats line shows the multiplexing.
   {
     util::Scheduler sched(workers);
     core::ServiceOptions opts;
@@ -175,7 +198,7 @@ int run_main(int argc, char** argv) {
     r.lulesh = f_lu.get();
     r.mg = f_mg.get();
     r.wall_ms = sw.millis();
-    if (!same_mix(r, legacy_mix, "service vs legacy")) return 1;
+    if (!same_mix(r, mix_ref, "service vs scheduler")) return 1;
     const auto st = service.stats();
     std::printf("\nservice leg: %.1f ms, %llu requests admitted, "
                 "%llu sessions built\n",
@@ -183,15 +206,19 @@ int run_main(int argc, char** argv) {
                 static_cast<unsigned long long>(st.sessions_created));
   }
 
-  std::printf("\nsched A/B: legacy pool %.1f ms, work-stealing %.1f ms\n",
-              legacy_ms, sched_ms);
-  std::printf("counts: identical across legacy, work-stealing and service\n");
+  std::printf("\nfig5 request: 1 worker %.1f ms, %zu workers %.1f ms\n",
+              fig5_best[0], workers, fig5_best[1]);
+  std::printf("mix: 1 worker %.1f ms, %zu workers %.1f ms\n", mix_best[0],
+              workers, mix_best[1]);
+  std::printf("counts: identical across 1 worker, %zu workers and service\n",
+              workers);
   if (cores < 4) {
-    // One busy core serializes every schedule: wall clock equals total CPU
-    // work and the comparison measures nothing. The CI runners gate it.
-    std::printf("sched speedup: skipped (single-core host)\n");
+    // Too few cores for the comparison to measure the scheduler.
+    std::printf("fig5 scaling: skipped (%u-core host)\n", cores);
+    std::printf("mix scaling: skipped (%u-core host)\n", cores);
   } else {
-    std::printf("sched speedup: %.2fx\n", legacy_ms / sched_ms);
+    std::printf("fig5 scaling: %.2fx\n", fig5_best[0] / fig5_best[1]);
+    std::printf("mix scaling: %.2fx\n", mix_best[0] / mix_best[1]);
   }
   return 0;
 }

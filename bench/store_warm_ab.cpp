@@ -58,7 +58,6 @@ int run_main(int argc, char** argv) {
         .target(fault::TargetClass::Input)
         .success_rates(cfg.campaign(60))
         .app_campaign(cfg.campaign(40))
-        .execution(cfg.mode())
         .store_dir(store_dir + "/store");
   };
 

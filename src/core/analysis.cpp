@@ -71,6 +71,10 @@ AnalysisSession::trace_locked() {
 
 const std::shared_ptr<const trace::ColumnTrace>&
 AnalysisSession::try_trace_locked(std::uint64_t* trapped_at) {
+  if (!trace_ && trace_trap_) {
+    *trapped_at = *trace_trap_;
+    return trace_;  // still null
+  }
   if (!trace_) {
     if (store_) {
       // Store-first: mmap the persisted golden trace segments and adopt
@@ -93,6 +97,7 @@ AnalysisSession::try_trace_locked(std::uint64_t* trapped_at) {
     auto run = vm::Vm::run(*program_, opts);
     traced_executed_.fetch_add(run.instructions, std::memory_order_relaxed);
     if (!run.completed()) {
+      trace_trap_ = run.instructions;
       *trapped_at = run.instructions;
       return trace_;  // still null
     }
@@ -285,6 +290,7 @@ std::shared_ptr<store::ArtifactStore> AnalysisSession::store() const {
 void AnalysisSession::invalidate_trace() {
   std::lock_guard lock(mu_);
   trace_.reset();
+  trace_trap_.reset();
   instances_.reset();
   events_.reset();
   rates_.reset();
@@ -294,6 +300,7 @@ void AnalysisSession::invalidate_all() {
   std::lock_guard lock(mu_);
   golden_.reset();
   trace_.reset();
+  trace_trap_.reset();
   instances_.reset();
   events_.reset();
   rates_.reset();
@@ -308,7 +315,7 @@ fault::CampaignResult AnalysisSession::region_campaign(
     const fault::CampaignConfig& config) {
   const auto sites = region_sites(region_id, instance);
   const auto golden_run = golden();
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return fault::run_prepared_campaign(
       *program_, fault::prepare_campaign(*sites, target, app_.base, config),
       golden_run->outputs, app_.verifier, *pool);
@@ -318,7 +325,7 @@ fault::CampaignResult AnalysisSession::app_campaign(
     const fault::CampaignConfig& config) {
   const auto sites = whole_program_sites();
   const auto golden_run = golden();
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return fault::run_prepared_campaign(
       *program_,
       fault::prepare_campaign(*sites, fault::TargetClass::Internal, app_.base,
@@ -336,7 +343,7 @@ compose::ComposedResult AnalysisSession::run_compositional(
   const auto golden_run = golden();
   const auto trace = golden_trace();
   const auto instances = region_instances();
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   auto prepared = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, app_.base, config);
   const auto plan =
@@ -357,7 +364,7 @@ fault::RankCampaignResult AnalysisSession::rank_campaign(
     const fault::RankCampaignConfig& config) {
   const auto en = rank_enumeration(config.nranks);
   const auto prepared = fault::prepare_rank_campaign(*en, app_.base, config);
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return fault::run_rank_campaign(*program_, prepared, app_.verifier, *pool);
 }
 
@@ -523,13 +530,8 @@ AnalysisRequest& AnalysisRequest::store(
   return *this;
 }
 
-AnalysisRequest& AnalysisRequest::pool(util::Executor* p) {
+AnalysisRequest& AnalysisRequest::pool(util::Scheduler* p) {
   pool_ = p;
-  return *this;
-}
-
-AnalysisRequest& AnalysisRequest::execution(ExecutionMode mode) {
-  mode_ = mode;
   return *this;
 }
 
@@ -591,22 +593,11 @@ struct CampaignUnit {
   std::uint64_t store_key = 0;
 };
 
-struct UnitCounts {
-  std::atomic<std::size_t> success{0};
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> crashed{0};
-  std::atomic<std::size_t> detected_recovered{0};
-  std::atomic<std::size_t> detected_unrecoverable{0};
-  std::atomic<std::size_t> early_exits{0};
-  std::atomic<std::uint64_t> instructions{0};
-  std::atomic<std::uint64_t> prefix_saved{0};
-  std::atomic<std::uint64_t> convergence_saved{0};
-};
-
-/// Per-unit mutable state of the batched executor: lazily-built waypoint
-/// snapshots (first touching chunk builds, last finishing chunk frees) and
-/// the counters that outlive the freed snapshots.
+/// Per-unit mutable state of the batched executor: the outcome tally,
+/// lazily-built waypoint snapshots (first touching chunk builds, last
+/// finishing chunk frees) and the counters that outlive the freed snapshots.
 struct UnitRuntime {
+  fault::CampaignAccumulator acc;
   std::once_flag once;
   fault::CampaignSnapshots snapshots;
   std::vector<std::uint32_t> order;       // fork_schedule over the snapshots
@@ -645,38 +636,6 @@ struct RankUnitCounts {
   std::size_t progress_done = 0;  // see UnitRuntime::progress_done
 };
 
-fault::CampaignResult unit_result(const CampaignUnit& unit,
-                                  const UnitCounts& counts,
-                                  const UnitRuntime& runtime) {
-  fault::CampaignResult r;
-  r.trials = unit.prepared.plans.size();
-  r.population_bits = unit.prepared.population_bits;
-  r.success = counts.success.load();
-  r.failed = counts.failed.load();
-  r.crashed = counts.crashed.load();
-  r.detected_recovered = counts.detected_recovered.load();
-  r.detected_unrecoverable = counts.detected_unrecoverable.load();
-  r.instructions_retired = counts.instructions.load();
-  r.snapshots_taken = runtime.snapshots_taken;
-  r.resume_depth = runtime.resume_depth;
-  r.prefix_instructions_saved = counts.prefix_saved.load();
-  r.convergence_instructions_saved = counts.convergence_saved.load();
-  r.early_exits = counts.early_exits.load();
-  return r;
-}
-
-/// Fold one unit's campaign result into the report's rollup counters.
-void fold_prefix_reuse(AnalysisReport& report,
-                       const fault::CampaignResult& result) {
-  report.total_instructions += result.instructions_retired;
-  report.instructions_saved += result.prefix_instructions_saved +
-                               result.convergence_instructions_saved;
-  report.snapshots_taken += result.snapshots_taken;
-  report.early_exits += result.early_exits;
-  report.max_resume_depth =
-      std::max(report.max_resume_depth, result.resume_depth);
-}
-
 /// The concrete (region_id, name, instance) rows one request selects for
 /// one application.
 struct RegionRow {
@@ -696,7 +655,7 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
   // rather than silently picking one.
   auto* pool = request.pool_;
   if (!pool) {
-    util::Executor* config_pools[] = {
+    util::Scheduler* config_pools[] = {
         request.region_campaign_ ? request.region_campaign_->pool : nullptr,
         request.app_campaign_ ? request.app_campaign_->pool : nullptr,
         request.compositional_ ? request.compositional_->pool : nullptr,
@@ -712,7 +671,7 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
       pool = p;
     }
   }
-  if (!pool) pool = &util::default_executor();
+  if (!pool) pool = &util::global_scheduler();
   report.pool_workers = pool->size();
 
   // Optional persistent artifact store: an explicit store wins; a store_dir
@@ -968,221 +927,173 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
   report.total_trials += composed_trials;
 
   const util::Stopwatch campaign_sw;
-  std::vector<UnitCounts> counts(units.size());
+  // The one work queue is chunked per unit: each scalar chunk task owns one
+  // TrialRunner (machine reuse across its trials); each rank chunk runs
+  // whole worlds (one per trial, nranks VM threads each). A unit's waypoint
+  // snapshots are placed lazily by the first chunk that touches it (workers
+  // on other units keep draining the queue meanwhile) and freed by the last
+  // chunk to finish, so peak snapshot memory tracks the units in flight,
+  // not the whole request.
+  struct TrialChunk {
+    bool rank = false;      // scalar unit or rank-campaign unit
+    std::size_t unit = 0;
+    std::size_t begin = 0;  // plan indices within the unit
+    std::size_t end = 0;
+  };
+  std::vector<TrialChunk> chunks;
+  std::vector<UnitRuntime> runtimes(units.size());
   std::deque<RankUnitCounts> rank_counts;
   for (const auto& unit : rank_units) {
     rank_counts.emplace_back(static_cast<std::size_t>(unit.prepared.nranks))
         .remaining.store(unit.prepared.plans.size());
   }
-  if (request.mode_ == ExecutionMode::Batched) {
-    // The global queue is chunked per unit: each scalar chunk task owns one
-    // TrialRunner (machine reuse across its trials); each rank chunk runs
-    // whole worlds (one per trial, nranks VM threads each). A unit's
-    // waypoint snapshots are placed lazily by the first chunk that touches
-    // it (workers on other units keep draining the queue meanwhile) and
-    // freed by the last chunk to finish, so peak snapshot memory tracks
-    // the units in flight, not the whole request.
-    struct TrialChunk {
-      bool rank = false;      // scalar unit or rank-campaign unit
-      std::size_t unit = 0;
-      std::size_t begin = 0;  // plan indices within the unit
-      std::size_t end = 0;
-    };
-    std::vector<TrialChunk> chunks;
-    std::vector<UnitRuntime> runtimes(units.size());
-    // Progress streaming: one snapshot at a time under this mutex, counts
-    // loaded inside the critical section so every field is monotone per
-    // unit; stale boundary reports (a chunk that finished earlier but lost
-    // the race to report) are dropped via progress_done. The hook never
-    // feeds back into results.
-    std::mutex progress_mu;
-    const auto& progress = request.progress_;
-    auto emit_scalar = [&](std::size_t u, std::size_t left) {
-      const auto& unit = units[u];
-      UnitProgress p;
-      p.trials_total = unit.prepared.plans.size();
-      p.trials_done = p.trials_total - left;
-      p.done = left == 0;
-      if (unit.entry_index != ~std::size_t{0}) {
-        const auto& e = report.entries[unit.entry_index];
-        p.app = e.app;
-        p.region_id = e.region_id;
-        p.region_name = e.region_name;
-        p.instance = e.instance;
-        p.target = e.target;
-      } else {
-        p.app = report.apps[unit.app_index].app;
-        p.whole_app = true;
-      }
-      std::lock_guard lock(progress_mu);
-      auto& rt = runtimes[u];
-      if (p.trials_done <= rt.progress_done && !p.done) return;
-      rt.progress_done = p.trials_done;
-      p.success = counts[u].success.load();
-      p.failed = counts[u].failed.load();
-      p.crashed = counts[u].crashed.load();
-      p.detected_recovered = counts[u].detected_recovered.load();
-      p.detected_unrecoverable = counts[u].detected_unrecoverable.load();
-      progress(p);
-    };
-    auto emit_rank = [&](std::size_t u, std::size_t left) {
-      const auto& unit = rank_units[u];
-      UnitProgress p;
+  // Progress streaming: one snapshot at a time under this mutex, counts
+  // loaded inside the critical section so every field is monotone per unit;
+  // stale boundary reports (a chunk that finished earlier but lost the race
+  // to report) are dropped via progress_done. The hook never feeds back
+  // into results.
+  std::mutex progress_mu;
+  const auto& progress = request.progress_;
+  auto emit_scalar = [&](std::size_t u, std::size_t left) {
+    const auto& unit = units[u];
+    UnitProgress p;
+    p.trials_total = unit.prepared.plans.size();
+    p.trials_done = p.trials_total - left;
+    p.done = left == 0;
+    if (unit.entry_index != ~std::size_t{0}) {
+      const auto& e = report.entries[unit.entry_index];
+      p.app = e.app;
+      p.region_id = e.region_id;
+      p.region_name = e.region_name;
+      p.instance = e.instance;
+      p.target = e.target;
+    } else {
       p.app = report.apps[unit.app_index].app;
-      p.rank = true;
-      p.trials_total = unit.prepared.plans.size();
-      p.trials_done = p.trials_total - left;
-      p.done = left == 0;
-      std::lock_guard lock(progress_mu);
+      p.whole_app = true;
+    }
+    std::lock_guard lock(progress_mu);
+    auto& rt = runtimes[u];
+    if (p.trials_done <= rt.progress_done && !p.done) return;
+    rt.progress_done = p.trials_done;
+    const auto counts = rt.acc.result(unit.prepared);
+    p.success = counts.success;
+    p.failed = counts.failed;
+    p.crashed = counts.crashed;
+    p.detected_recovered = counts.detected_recovered;
+    p.detected_unrecoverable = counts.detected_unrecoverable;
+    progress(p);
+  };
+  auto emit_rank = [&](std::size_t u, std::size_t left) {
+    const auto& unit = rank_units[u];
+    UnitProgress p;
+    p.app = report.apps[unit.app_index].app;
+    p.rank = true;
+    p.trials_total = unit.prepared.plans.size();
+    p.trials_done = p.trials_total - left;
+    p.done = left == 0;
+    std::lock_guard lock(progress_mu);
+    auto& rc = rank_counts[u];
+    if (p.trials_done <= rc.progress_done && !p.done) return;
+    rc.progress_done = p.trials_done;
+    progress(p);
+  };
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const std::size_t n = units[u].prepared.plans.size();
+    runtimes[u].remaining.store(n);
+    if (n == 0) continue;
+    const std::size_t chunk =
+        std::clamp<std::size_t>(n / (pool->size() * 8), 1, 32);
+    for (std::size_t b = 0; b < n; b += chunk) {
+      chunks.push_back(TrialChunk{false, u, b, std::min(n, b + chunk)});
+    }
+  }
+  for (std::size_t u = 0; u < rank_units.size(); ++u) {
+    const std::size_t n = rank_units[u].prepared.plans.size();
+    if (n == 0) continue;
+    // Rank trials are whole multi-rank executions: smaller chunks keep the
+    // shared queue balanced against the cheaper scalar trials.
+    const std::size_t chunk = fault::rank_campaign_chunk(n, pool->size());
+    for (std::size_t b = 0; b < n; b += chunk) {
+      chunks.push_back(TrialChunk{true, u, b, std::min(n, b + chunk)});
+    }
+  }
+  pool->parallel_for(chunks.size(), [&](std::size_t c) {
+    const auto& [is_rank, u, begin, end] = chunks[c];
+    if (is_rank) {
+      const auto& unit = rank_units[u];
       auto& rc = rank_counts[u];
-      if (p.trials_done <= rc.progress_done && !p.done) return;
-      rc.progress_done = p.trials_done;
-      progress(p);
-    };
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const std::size_t n = units[u].prepared.plans.size();
-      runtimes[u].remaining.store(n);
-      if (n == 0) continue;
-      const std::size_t chunk =
-          std::clamp<std::size_t>(n / (pool->size() * 8), 1, 32);
-      for (std::size_t b = 0; b < n; b += chunk) {
-        chunks.push_back(TrialChunk{false, u, b, std::min(n, b + chunk)});
-      }
-    }
-    for (std::size_t u = 0; u < rank_units.size(); ++u) {
-      const std::size_t n = rank_units[u].prepared.plans.size();
-      if (n == 0) continue;
-      // Rank trials are whole multi-rank executions: smaller chunks keep
-      // the shared queue balanced against the cheaper scalar trials.
-      const std::size_t chunk = fault::rank_campaign_chunk(n, pool->size());
-      for (std::size_t b = 0; b < n; b += chunk) {
-        chunks.push_back(TrialChunk{true, u, b, std::min(n, b + chunk)});
-      }
-    }
-    if (!chunks.empty()) {
-      pool->parallel_for(chunks.size(), [&](std::size_t c) {
-        const auto& [is_rank, u, begin, end] = chunks[c];
-        if (is_rank) {
-          const auto& unit = rank_units[u];
-          auto& rc = rank_counts[u];
-          std::call_once(rc.once, [&] {
-            rc.snapshots =
-                fault::prepare_rank_snapshots(*unit.program, unit.prepared);
-            rc.snapshots_taken = rc.snapshots.snapshots_taken;
-          });
-          for (std::size_t pos = begin; pos < end; ++pos) {
-            std::uint64_t instr = 0, prefix = 0;
-            const auto trial = fault::run_rank_trial(
-                *unit.program, unit.prepared, rc.snapshots, pos,
-                unit.session->app().verifier, &instr, &prefix);
-            rc.acc.add(trial,
-                       static_cast<std::size_t>(unit.prepared.plan_rank[pos]),
-                       instr, prefix);
-          }
-          const std::size_t left =
-              rc.remaining.fetch_sub(end - begin) - (end - begin);
-          if (left == 0) rc.snapshots = fault::RankSnapshots{};
-          if (progress) emit_rank(u, left);
-          return;
-        }
-        const auto& unit = units[u];
-        auto& rt = runtimes[u];
-        std::call_once(rt.once, [&] {
-          rt.snapshots =
-              fault::prepare_snapshots(*unit.program, unit.prepared);
-          rt.order = fault::fork_schedule(unit.prepared);
-          rt.snapshots_taken = rt.snapshots.waypoints.size();
-          rt.resume_depth = rt.snapshots.resume_depth;
-        });
-        fault::TrialRunner runner(*unit.program, unit.prepared, rt.snapshots,
-                                  unit.golden->outputs,
-                                  unit.session->app().verifier);
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          const std::size_t i = rt.order.empty() ? pos : rt.order[pos];
-          fault::TrialAccounting acct;
-          switch (runner.run(i, &acct)) {
-            case fault::Outcome::VerificationSuccess:
-              counts[u].success.fetch_add(1);
-              break;
-            case fault::Outcome::VerificationFailed:
-              counts[u].failed.fetch_add(1);
-              break;
-            case fault::Outcome::Crashed:
-              counts[u].crashed.fetch_add(1);
-              break;
-            case fault::Outcome::DetectedRecovered:
-              counts[u].detected_recovered.fetch_add(1);
-              break;
-            case fault::Outcome::DetectedUnrecoverable:
-              counts[u].detected_unrecoverable.fetch_add(1);
-              break;
-          }
-          counts[u].instructions.fetch_add(acct.instructions);
-          counts[u].prefix_saved.fetch_add(acct.prefix_saved);
-          counts[u].convergence_saved.fetch_add(acct.convergence_saved);
-          if (acct.early_exit) counts[u].early_exits.fetch_add(1);
-        }
-        // Last finisher of the unit releases its waypoint memory. The
-        // seq_cst decrement also orders every finished chunk's count
-        // updates before the left == 0 observation, so the final progress
-        // snapshot carries the unit's exact outcome counts.
-        const std::size_t left =
-            rt.remaining.fetch_sub(end - begin) - (end - begin);
-        if (left == 0) rt.snapshots = fault::CampaignSnapshots{};
-        if (progress) emit_scalar(u, left);
+      std::call_once(rc.once, [&] {
+        rc.snapshots =
+            fault::prepare_rank_snapshots(*unit.program, unit.prepared);
+        rc.snapshots_taken = rc.snapshots.snapshots_taken;
       });
-      report.pool_batches = 1;
-    }
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const auto result = unit_result(units[u], counts[u], runtimes[u]);
-      fold_prefix_reuse(report, result);
-      if (store && units[u].store_key != 0) {
-        store->publish_campaign(units[u].store_key, result);
+      for (std::size_t pos = begin; pos < end; ++pos) {
+        std::uint64_t instr = 0, prefix = 0;
+        const auto trial = fault::run_rank_trial(
+            *unit.program, unit.prepared, rc.snapshots, pos,
+            unit.session->app().verifier, &instr, &prefix);
+        rc.acc.add(trial,
+                   static_cast<std::size_t>(unit.prepared.plan_rank[pos]),
+                   instr, prefix);
       }
-      if (units[u].entry_index != ~std::size_t{0}) {
-        report.entries[units[u].entry_index].campaign = result;
-      } else {
-        report.apps[units[u].app_index].whole_app = result;
-      }
+      const std::size_t left =
+          rc.remaining.fetch_sub(end - begin) - (end - begin);
+      if (left == 0) rc.snapshots = fault::RankSnapshots{};
+      if (progress) emit_rank(u, left);
+      return;
     }
-    for (std::size_t u = 0; u < rank_units.size(); ++u) {
-      const auto result = rank_counts[u].acc.result(
-          rank_units[u].prepared, rank_counts[u].snapshots_taken);
-      report.total_instructions += result.instructions_retired;
-      report.instructions_saved += result.prefix_instructions_saved;
-      report.snapshots_taken += result.snapshots_taken;
-      report.apps[rank_units[u].app_index].rank_campaign = result;
+    const auto& unit = units[u];
+    auto& rt = runtimes[u];
+    std::call_once(rt.once, [&] {
+      rt.snapshots = fault::prepare_snapshots(*unit.program, unit.prepared);
+      rt.order = fault::fork_schedule(unit.prepared);
+      rt.snapshots_taken = rt.snapshots.waypoints.size();
+      rt.resume_depth = rt.snapshots.resume_depth;
+    });
+    fault::TrialRunner runner(*unit.program, unit.prepared, rt.snapshots,
+                              unit.golden->outputs,
+                              unit.session->app().verifier);
+    for (std::size_t pos = begin; pos < end; ++pos) {
+      fault::TrialAccounting acct;
+      rt.acc.add(runner.run(rt.order.empty() ? pos : rt.order[pos], &acct),
+                 acct);
     }
-  } else {
-    // Legacy mode: one blocking parallel_for per unit, serializing between
-    // regions exactly as the facade-era call pattern did (same decoded
-    // engine and same snapshot-forked trials — this mode A/Bs the
-    // scheduling, not the interpreter or the fork policy).
-    for (const auto& unit : units) {
-      const auto& spec = unit.session->app();
-      const auto result = fault::run_prepared_campaign(
-          *unit.program, unit.prepared, unit.golden->outputs, spec.verifier,
-          *pool);
-      report.pool_batches += unit.prepared.plans.empty() ? 0 : 1;
-      fold_prefix_reuse(report, result);
-      if (store && unit.store_key != 0) {
-        store->publish_campaign(unit.store_key, result);
-      }
-      if (unit.entry_index != ~std::size_t{0}) {
-        report.entries[unit.entry_index].campaign = result;
-      } else {
-        report.apps[unit.app_index].whole_app = result;
-      }
+    // Last finisher of the unit releases its waypoint memory. The seq_cst
+    // decrement also orders every finished chunk's count updates before the
+    // left == 0 observation, so the final progress snapshot carries the
+    // unit's exact outcome counts.
+    const std::size_t left =
+        rt.remaining.fetch_sub(end - begin) - (end - begin);
+    if (left == 0) rt.snapshots = fault::CampaignSnapshots{};
+    if (progress) emit_scalar(u, left);
+  });
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const auto& rt = runtimes[u];
+    const auto result = rt.acc.result(units[u].prepared, rt.snapshots_taken,
+                                      rt.resume_depth);
+    report.total_instructions += result.instructions_retired;
+    report.instructions_saved += result.prefix_instructions_saved +
+                                 result.convergence_instructions_saved;
+    report.snapshots_taken += result.snapshots_taken;
+    report.early_exits += result.early_exits;
+    report.max_resume_depth =
+        std::max(report.max_resume_depth, result.resume_depth);
+    if (store && units[u].store_key != 0) {
+      store->publish_campaign(units[u].store_key, result);
     }
-    for (const auto& unit : rank_units) {
-      const auto result = fault::run_rank_campaign(
-          *unit.program, unit.prepared, unit.session->app().verifier, *pool);
-      report.pool_batches += unit.prepared.plans.empty() ? 0 : 1;
-      report.total_instructions += result.instructions_retired;
-      report.instructions_saved += result.prefix_instructions_saved;
-      report.snapshots_taken += result.snapshots_taken;
-      report.apps[unit.app_index].rank_campaign = result;
+    if (units[u].entry_index != ~std::size_t{0}) {
+      report.entries[units[u].entry_index].campaign = result;
+    } else {
+      report.apps[units[u].app_index].whole_app = result;
     }
+  }
+  for (std::size_t u = 0; u < rank_units.size(); ++u) {
+    const auto result = rank_counts[u].acc.result(
+        rank_units[u].prepared, rank_counts[u].snapshots_taken);
+    report.total_instructions += result.instructions_retired;
+    report.instructions_saved += result.prefix_instructions_saved;
+    report.snapshots_taken += result.snapshots_taken;
+    report.apps[rank_units[u].app_index].rank_campaign = result;
   }
   if (store) {
     const auto c = store->counters();

@@ -58,7 +58,7 @@
 #include "trace/collector.h"
 #include "trace/events.h"
 #include "trace/segment.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 
 namespace ft::store {
 class ArtifactStore;
@@ -225,7 +225,8 @@ class AnalysisSession {
   const std::shared_ptr<const vm::RunResult>& golden_locked();
   const std::shared_ptr<const trace::ColumnTrace>& trace_locked();
   /// The golden trace, or null when the traced fault-free run traps (its
-  /// retired instruction count then lands in `*trapped_at`). trace_locked()
+  /// retired instruction count then lands in `*trapped_at`; the trap is
+  /// cached, so the program runs traced at most once). trace_locked()
   /// throws instead.
   const std::shared_ptr<const trace::ColumnTrace>& try_trace_locked(
       std::uint64_t* trapped_at);
@@ -255,6 +256,9 @@ class AnalysisSession {
   std::atomic<std::uint64_t> traced_executed_{0};
   std::shared_ptr<const vm::RunResult> golden_;
   std::shared_ptr<const trace::ColumnTrace> trace_;
+  /// Retired count at which the traced fault-free run trapped, once seen:
+  /// later trace requests fail from it instead of re-running the program.
+  std::optional<std::uint64_t> trace_trap_;
   std::shared_ptr<const std::vector<trace::RegionInstance>> instances_;
   std::shared_ptr<const trace::LocationEvents> events_;
   std::shared_ptr<const patterns::PatternRates> rates_;
@@ -283,16 +287,6 @@ enum class RegionScope : std::uint8_t {
   MainLoopIterations,
   /// No region sweep (whole-app analyses only, Table IV).
   None,
-};
-
-/// How the campaigns of a request are scheduled.
-enum class ExecutionMode : std::uint8_t {
-  /// All trials of all (app, region, target) units interleave on one
-  /// shared work queue — regions and apps execute concurrently.
-  Batched,
-  /// One blocking run_campaign per unit, as the old facade drove it.
-  /// Kept for A/B comparison (scripts/bench_smoke.sh, determinism tests).
-  LegacyPerRegion,
 };
 
 /// One (app, region instance, target class) result row.
@@ -370,9 +364,6 @@ struct AnalysisReport {
   /// Deepest golden resume point of any unit (the longest serial prefix the
   /// scheduler had to execute once).
   std::uint64_t max_resume_depth = 0;
-  /// Injection work-queue dispatches (batched: 1). Snapshot preparation is
-  /// artifact prep and is not counted here.
-  std::size_t pool_batches = 0;
   std::size_t pool_workers = 0;
 
   // --- artifact-store metadata (zero unless a store was attached) -----------
@@ -564,13 +555,12 @@ class AnalysisRequest {
   AnalysisRequest& store(std::shared_ptr<store::ArtifactStore> s);
 
   // --- execution ------------------------------------------------------------
-  /// Pool the batched work queue runs on. When unset, a pool named by the
-  /// campaign configs is honored (two configs naming different pools is
-  /// rejected); otherwise util::default_executor() (the work-stealing scheduler).
-  AnalysisRequest& pool(util::Executor* p);
-  AnalysisRequest& execution(ExecutionMode mode);
-  /// Stream per-unit aggregate snapshots as campaign chunks complete
-  /// (Batched mode only; LegacyPerRegion ignores the hook). The callback is
+  /// Scheduler the request's one batched work queue runs on. When unset, a
+  /// scheduler named by the campaign configs is honored (two configs naming
+  /// different schedulers is rejected); otherwise util::global_scheduler().
+  AnalysisRequest& pool(util::Scheduler* p);
+  /// Stream per-unit aggregate snapshots as campaign chunks complete. The
+  /// callback is
   /// invoked under an internal mutex — one snapshot at a time — from
   /// whichever executor thread finished a chunk, so it must not re-enter
   /// run_analysis or block on the executor. Snapshots never affect results.
@@ -611,15 +601,14 @@ class AnalysisRequest {
   bool want_region_io_ = false;
   std::string store_dir_;
   std::shared_ptr<store::ArtifactStore> store_;
-  util::Executor* pool_ = nullptr;
-  ExecutionMode mode_ = ExecutionMode::Batched;
+  util::Scheduler* pool_ = nullptr;
   std::function<void(const UnitProgress&)> progress_;
   bool keep_traces_ = false;
 };
 
 /// Execute a request. Campaign results are deterministic in the request
 /// (plans are drawn up-front per unit from CampaignConfig::seed) and
-/// independent of pool size and execution mode. Throws std::invalid_argument
+/// independent of the scheduler and its size. Throws std::invalid_argument
 /// for unknown app/region names and propagates golden-run failures.
 [[nodiscard]] AnalysisReport run_analysis(const AnalysisRequest& request);
 

@@ -185,7 +185,7 @@ class SingleFlightStore final : public store::ArtifactStore {
 // ---------------------------------------------------------------------------
 
 CampaignService::CampaignService(ServiceOptions opts)
-    : scheduler_(opts.scheduler ? opts.scheduler : &util::default_executor()),
+    : scheduler_(opts.scheduler ? opts.scheduler : &util::global_scheduler()),
       store_(std::move(opts.store)),
       flights_(std::make_shared<FlightTable>()) {
   if (!store_ && !opts.store_dir.empty()) {
@@ -259,6 +259,13 @@ AnalysisReport CampaignService::execute(std::uint64_t id,
 
 std::future<AnalysisReport> CampaignService::submit(
     AnalysisRequest request, ServiceSubscriber subscriber) {
+  // Unknown registry names are rejected here, on the caller's thread,
+  // before admission: such a request never reaches a worker or the counters.
+  for (const auto& ref : request.apps_) {
+    if (!ref.session && !ref.spec) {
+      (void)apps::require_app_name(ref.name, "app");
+    }
+  }
   const std::uint64_t id =
       next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   requests_admitted_.fetch_add(1, std::memory_order_relaxed);

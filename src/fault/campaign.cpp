@@ -1,7 +1,6 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <type_traits>
 
@@ -357,6 +356,29 @@ std::vector<std::uint32_t> fork_schedule(const PreparedCampaign& prepared) {
   return order;
 }
 
+CampaignResult CampaignAccumulator::result(
+    const PreparedCampaign& prepared, std::uint64_t snapshots_taken,
+    std::uint64_t resume_depth) const noexcept {
+  const auto count = [&](Outcome o) {
+    return outcomes_[static_cast<std::size_t>(o)].load();
+  };
+  CampaignResult r;
+  r.trials = prepared.plans.size();
+  r.population_bits = prepared.population_bits;
+  r.success = count(Outcome::VerificationSuccess);
+  r.failed = count(Outcome::VerificationFailed);
+  r.crashed = count(Outcome::Crashed);
+  r.detected_recovered = count(Outcome::DetectedRecovered);
+  r.detected_unrecoverable = count(Outcome::DetectedUnrecoverable);
+  r.instructions_retired = instructions_.load();
+  r.snapshots_taken = snapshots_taken;
+  r.resume_depth = resume_depth;
+  r.prefix_instructions_saved = prefix_saved_.load();
+  r.convergence_instructions_saved = convergence_saved_.load();
+  r.early_exits = early_exits_.load();
+  return r;
+}
+
 Outcome run_forked_trial(const vm::DecodedProgram& program,
                          const PreparedCampaign& prepared,
                          const CampaignSnapshots& snapshots,
@@ -409,40 +431,20 @@ CampaignResult run_prepared_impl(const Executable& exe,
                                  const PreparedCampaign& prepared,
                                  const std::vector<vm::OutputValue>& golden,
                                  const Verifier& verify,
-                                 util::Executor& pool) {
-  CampaignResult out;
-  out.population_bits = prepared.population_bits;
-  out.trials = prepared.plans.size();
-  if (prepared.plans.empty()) return out;
-
+                                 util::Scheduler& pool) {
   const bool bounds =
       prepared.fork_bounds.size() == prepared.plans.size();
-  std::atomic<std::size_t> success{0}, failed{0}, crashed{0};
-  std::atomic<std::size_t> recovered{0}, unrecoverable{0};
-  std::atomic<std::uint64_t> instructions{0};
+  CampaignAccumulator acc;
   pool.parallel_for(prepared.plans.size(), [&](std::size_t i) {
-    std::uint64_t n = 0;
+    TrialAccounting acct;
     const std::uint64_t landing = bounds
                                       ? prepared.fork_bounds[i]
                                       : plan_landing_index(prepared.plans[i]);
-    switch (run_trial_impl(exe, prepared, prepared.plans[i], landing, golden,
-                           verify, &n)) {
-      case Outcome::VerificationSuccess: success.fetch_add(1); break;
-      case Outcome::VerificationFailed: failed.fetch_add(1); break;
-      case Outcome::Crashed: crashed.fetch_add(1); break;
-      case Outcome::DetectedRecovered: recovered.fetch_add(1); break;
-      case Outcome::DetectedUnrecoverable: unrecoverable.fetch_add(1); break;
-    }
-    instructions.fetch_add(n);
+    acc.add(run_trial_impl(exe, prepared, prepared.plans[i], landing, golden,
+                           verify, &acct.instructions),
+            acct);
   });
-
-  out.success = success.load();
-  out.failed = failed.load();
-  out.crashed = crashed.load();
-  out.detected_recovered = recovered.load();
-  out.detected_unrecoverable = unrecoverable.load();
-  out.instructions_retired = instructions.load();
-  return out;
+  return acc.result(prepared);
 }
 
 /// The snapshot-forked campaign body: one serial golden pass places the
@@ -452,20 +454,12 @@ CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
                                    const PreparedCampaign& prepared,
                                    const std::vector<vm::OutputValue>& golden,
                                    const Verifier& verify,
-                                   util::Executor& pool) {
-  CampaignResult out;
-  out.population_bits = prepared.population_bits;
-  out.trials = prepared.plans.size();
-  if (prepared.plans.empty()) return out;
+                                   util::Scheduler& pool) {
+  CampaignAccumulator acc;
+  if (prepared.plans.empty()) return acc.result(prepared);
 
   const auto snapshots = prepare_snapshots(program, prepared);
-  out.snapshots_taken = snapshots.waypoints.size();
-  out.resume_depth = snapshots.resume_depth;
   const auto order = fork_schedule(prepared);
-
-  std::atomic<std::size_t> success{0}, failed{0}, crashed{0}, early{0};
-  std::atomic<std::size_t> recovered{0}, unrecoverable{0};
-  std::atomic<std::uint64_t> instructions{0}, prefix_saved{0}, conv_saved{0};
   // Chunked dispatch in fork_schedule order: each task owns one TrialRunner,
   // so consecutive trials on a worker reuse one machine and mostly fork from
   // the same waypoint (incremental restore). Counts accumulate atomically —
@@ -478,32 +472,12 @@ CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
     const std::size_t begin = c * chunk;
     const std::size_t end = std::min(n, begin + chunk);
     for (std::size_t pos = begin; pos < end; ++pos) {
-      const std::size_t i = order.empty() ? pos : order[pos];
       TrialAccounting acct;
-      switch (runner.run(i, &acct)) {
-        case Outcome::VerificationSuccess: success.fetch_add(1); break;
-        case Outcome::VerificationFailed: failed.fetch_add(1); break;
-        case Outcome::Crashed: crashed.fetch_add(1); break;
-        case Outcome::DetectedRecovered: recovered.fetch_add(1); break;
-        case Outcome::DetectedUnrecoverable: unrecoverable.fetch_add(1); break;
-      }
-      instructions.fetch_add(acct.instructions);
-      prefix_saved.fetch_add(acct.prefix_saved);
-      conv_saved.fetch_add(acct.convergence_saved);
-      if (acct.early_exit) early.fetch_add(1);
+      acc.add(runner.run(order.empty() ? pos : order[pos], &acct), acct);
     }
   });
-
-  out.success = success.load();
-  out.failed = failed.load();
-  out.crashed = crashed.load();
-  out.detected_recovered = recovered.load();
-  out.detected_unrecoverable = unrecoverable.load();
-  out.instructions_retired = instructions.load();
-  out.prefix_instructions_saved = prefix_saved.load();
-  out.convergence_instructions_saved = conv_saved.load();
-  out.early_exits = early.load();
-  return out;
+  return acc.result(prepared, snapshots.waypoints.size(),
+                    snapshots.resume_depth);
 }
 
 }  // namespace
@@ -528,7 +502,7 @@ CampaignResult run_prepared_campaign(const vm::DecodedProgram& program,
                                      const PreparedCampaign& prepared,
                                      const std::vector<vm::OutputValue>& golden,
                                      const Verifier& verify,
-                                     util::Executor& pool) {
+                                     util::Scheduler& pool) {
   if (prepared.fork.enabled &&
       prepared.fork_bounds.size() == prepared.plans.size()) {
     return run_prepared_forked(program, prepared, golden, verify, pool);
@@ -540,7 +514,7 @@ CampaignResult run_prepared_campaign(const ir::Module& m,
                                      const PreparedCampaign& prepared,
                                      const std::vector<vm::OutputValue>& golden,
                                      const Verifier& verify,
-                                     util::Executor& pool) {
+                                     util::Scheduler& pool) {
   return run_prepared_impl(m, prepared, golden, verify, pool);
 }
 
@@ -550,7 +524,7 @@ CampaignResult run_campaign(const ir::Module& m,
                             const std::vector<vm::OutputValue>& golden,
                             const Verifier& verify, const vm::VmOptions& base,
                             const CampaignConfig& config) {
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return run_prepared_campaign(m, prepare_campaign(sites, target, base, config),
                                golden, verify, *pool);
 }

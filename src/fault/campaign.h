@@ -23,13 +23,15 @@
 /// bench/campaign_fork_ab.cpp via scripts/bench_smoke.sh.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "fault/outcome.h"
 #include "fault/sites.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 
 namespace ft::fault {
 
@@ -71,9 +73,9 @@ struct ForkPolicy {
 ///
 /// Both fields are SEMANTIC campaign inputs (they change outcome counts)
 /// and therefore hash into the store's campaign key, unlike the pure
-/// scheduling knobs in ForkPolicy. Outcomes stay independent of pool size,
-/// execution mode and fork on/off: the landing and detection indices are
-/// properties of the deterministic execution, not of the scheduler.
+/// scheduling knobs in ForkPolicy. Outcomes stay independent of pool size
+/// and fork on/off: the landing and detection indices are properties of
+/// the deterministic execution, not of the scheduler.
 struct RecoveryPolicy {
   /// Roll back + re-execute on DetectedFault. Programs without detectors
   /// never take this path, so the default costs nothing.
@@ -95,7 +97,7 @@ struct CampaignConfig {
   /// Hang budget: faulty runs may retire at most this multiple of the
   /// fault-free instruction count before classifying as Crashed(hang).
   double budget_factor = 8.0;
-  util::Executor* pool = nullptr;  // nullptr = util::default_executor()
+  util::Scheduler* pool = nullptr;  // nullptr = util::global_scheduler()
   /// Snapshot-forked trial execution (copied into the prepared campaign).
   ForkPolicy fork{};
   /// Checkpoint/rollback recovery (copied into the prepared campaign).
@@ -222,6 +224,35 @@ struct TrialAccounting {
   bool early_exit = false;
 };
 
+/// Thread-safe, order-independent tally of one campaign's classified
+/// trials: the outcome counts plus the per-trial accounting. Every scalar
+/// campaign driver (run_prepared_campaign, core::run_analysis's batched
+/// queue) folds its trials through one of these, so their results cannot
+/// drift. Each count only grows, so a snapshot read while trials are still
+/// running is monotone.
+class CampaignAccumulator {
+ public:
+  /// Fold one classified trial.
+  void add(Outcome outcome, const TrialAccounting& acct) noexcept {
+    outcomes_[static_cast<std::size_t>(outcome)].fetch_add(1);
+    instructions_.fetch_add(acct.instructions);
+    prefix_saved_.fetch_add(acct.prefix_saved);
+    convergence_saved_.fetch_add(acct.convergence_saved);
+    if (acct.early_exit) early_exits_.fetch_add(1);
+  }
+
+  /// The campaign result so far; a snapshot-forked driver passes its
+  /// waypoint count and resume depth (CampaignSnapshots).
+  [[nodiscard]] CampaignResult result(
+      const PreparedCampaign& prepared, std::uint64_t snapshots_taken = 0,
+      std::uint64_t resume_depth = 0) const noexcept;
+
+ private:
+  std::array<std::atomic<std::size_t>, kNumOutcomes> outcomes_{};
+  std::atomic<std::uint64_t> instructions_{0}, prefix_saved_{0},
+      convergence_saved_{0}, early_exits_{0};
+};
+
 /// Per-worker forked-trial executor. Each run() forks the trial machine at
 /// EXACTLY its plan's fork bound — a golden-cursor Vm crawls the fault-free
 /// prefix monotonically (resuming from where the previous trial left it,
@@ -334,13 +365,13 @@ class TrialRunner {
 [[nodiscard]] CampaignResult run_prepared_campaign(
     const vm::DecodedProgram& program, const PreparedCampaign& prepared,
     const std::vector<vm::OutputValue>& golden, const Verifier& verify,
-    util::Executor& pool);
+    util::Scheduler& pool);
 
 /// Legacy-engine form (A/B baseline).
 [[nodiscard]] CampaignResult run_prepared_campaign(
     const ir::Module& m, const PreparedCampaign& prepared,
     const std::vector<vm::OutputValue>& golden, const Verifier& verify,
-    util::Executor& pool);
+    util::Scheduler& pool);
 
 /// Modeled checkpoint/rollback verdict for a detector trap. The recovery
 /// runtime checkpoints every RecoveryPolicy::checkpoint_interval retired

@@ -2,6 +2,7 @@
 // Verification Failed, Crashed (crashes and hangs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -24,6 +25,7 @@ enum class Outcome : std::uint8_t {
   /// itself failed (trapped again, hung, or produced bad output).
   DetectedUnrecoverable,
 };
+inline constexpr std::size_t kNumOutcomes = 5;
 
 [[nodiscard]] constexpr std::string_view outcome_name(Outcome o) noexcept {
   switch (o) {

@@ -1,7 +1,7 @@
 // The composable analysis API: AnalysisSession caching and thread safety,
 // declarative AnalysisRequest execution, cross-region campaign batching,
-// seed determinism across pool sizes and execution modes, and the
-// observer-pipeline gating semantics.
+// seed determinism across pool sizes and against the imperative session
+// calls, and the observer-pipeline gating semantics.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -100,7 +100,7 @@ TEST(CampaignDeterminism, IdenticalCountsAcrossPoolSizes) {
 
   std::vector<fault::CampaignResult> results;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    util::ThreadPool pool(workers);
+    util::Scheduler pool(workers);
     auto cfg = quick_campaign(12, /*seed=*/77);
     cfg.pool = &pool;
     results.push_back(session.region_campaign(
@@ -115,37 +115,27 @@ TEST(CampaignDeterminism, IdenticalCountsAcrossPoolSizes) {
   }
 }
 
-TEST(CampaignDeterminism, BatchedMatchesLegacyAndFacadeFlow) {
+TEST(CampaignDeterminism, BatchedMatchesFacadeFlow) {
   auto session = std::make_shared<core::AnalysisSession>(apps::build_cg());
   const auto cfg = quick_campaign(10, /*seed=*/42);
 
-  const auto run_mode = [&](core::ExecutionMode mode) {
-    return core::run_analysis(core::AnalysisRequest()
-                                  .session(session)
-                                  .region("cg_a")
-                                  .region("cg_b")
-                                  .target(fault::TargetClass::Internal)
-                                  .target(fault::TargetClass::Input)
-                                  .success_rates(cfg)
-                                  .execution(mode));
-  };
-  const auto batched = run_mode(core::ExecutionMode::Batched);
-  const auto legacy = run_mode(core::ExecutionMode::LegacyPerRegion);
+  const auto batched =
+      core::run_analysis(core::AnalysisRequest()
+                             .session(session)
+                             .region("cg_a")
+                             .region("cg_b")
+                             .target(fault::TargetClass::Internal)
+                             .target(fault::TargetClass::Input)
+                             .success_rates(cfg));
 
   ASSERT_EQ(batched.entries.size(), 4u);
-  ASSERT_EQ(legacy.entries.size(), batched.entries.size());
   for (std::size_t i = 0; i < batched.entries.size(); ++i) {
     const auto& b = batched.entries[i].campaign;
-    const auto& l = legacy.entries[i].campaign;
-    EXPECT_EQ(b.trials, l.trials);
-    EXPECT_EQ(b.success, l.success);
-    EXPECT_EQ(b.failed, l.failed);
-    EXPECT_EQ(b.crashed, l.crashed);
-
-    // And both match the imperative per-region session call.
+    // The batched queue matches the imperative per-region session call.
     const auto& e = batched.entries[i];
     const auto direct =
         session->region_campaign(e.region_id, e.instance, e.target, cfg);
+    EXPECT_EQ(b.trials, direct.trials);
     EXPECT_EQ(b.success, direct.success);
     EXPECT_EQ(b.failed, direct.failed);
     EXPECT_EQ(b.crashed, direct.crashed);
@@ -155,7 +145,7 @@ TEST(CampaignDeterminism, BatchedMatchesLegacyAndFacadeFlow) {
 // --- cross-region batching -----------------------------------------------------
 
 TEST(Batching, MultiRegionRequestDispatchesOnePoolBatch) {
-  util::ThreadPool pool(2);
+  util::Scheduler pool(2);
   const auto report =
       core::run_analysis(core::AnalysisRequest()
                              .app("CG")
@@ -169,7 +159,6 @@ TEST(Batching, MultiRegionRequestDispatchesOnePoolBatch) {
   // parallel_for dispatch: regions execute concurrently on the shared pool
   // instead of serializing between per-region campaigns.
   EXPECT_EQ(pool.parallel_for_calls(), 1u);
-  EXPECT_EQ(report.pool_batches, 1u);
   EXPECT_GT(report.campaign_units, 1u);
   EXPECT_EQ(report.pool_workers, 2u);
 
@@ -191,28 +180,13 @@ TEST(Batching, MultiRegionRequestDispatchesOnePoolBatch) {
 TEST(Batching, CampaignConfigPoolIsHonored) {
   // run_campaign's contract (CampaignConfig::pool) must hold through the
   // declarative path too when no request-level pool is set.
-  util::ThreadPool pool(2);
+  util::Scheduler pool(2);
   auto cfg = quick_campaign(5);
   cfg.pool = &pool;
   const auto report = core::run_analysis(
       core::AnalysisRequest().app("CG").region("cg_a").success_rates(cfg));
   EXPECT_EQ(pool.parallel_for_calls(), 1u);
   EXPECT_EQ(report.pool_workers, 2u);
-}
-
-TEST(Batching, LegacyModeDispatchesPerUnit) {
-  util::ThreadPool pool(2);
-  const auto report =
-      core::run_analysis(core::AnalysisRequest()
-                             .app("CG")
-                             .region("cg_a")
-                             .region("cg_b")
-                             .success_rates(quick_campaign(5))
-                             .pool(&pool)
-                             .execution(core::ExecutionMode::LegacyPerRegion));
-  EXPECT_EQ(report.campaign_units, 2u);
-  EXPECT_EQ(report.pool_batches, 2u);
-  EXPECT_EQ(pool.parallel_for_calls(), 2u);
 }
 
 // --- the request/report model --------------------------------------------------

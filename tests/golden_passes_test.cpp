@@ -291,7 +291,17 @@ TEST(GoldenPassesTrap, TrappedGoldenRunYieldsEmptyPopulation) {
   expect_same_sites(*sites, want);
   EXPECT_TRUE(sites->sites.internal.empty());
   // The trace itself stays unavailable: its accessor still reports the trap.
+  // The trap is cached: the traced run executes once, not once per call.
+  const std::uint64_t traced = session.traced_instructions_executed();
+  EXPECT_EQ(traced, want.fault_free_instructions);
   EXPECT_THROW((void)session.golden_trace(), std::runtime_error);
+  EXPECT_THROW((void)session.pattern_rates(), std::runtime_error);
+  EXPECT_THROW((void)session.region_sites(0, 0), std::runtime_error);
+  EXPECT_EQ(session.traced_instructions_executed(), traced);
+  // Invalidation forgets the trap along with the trace.
+  session.invalidate_trace();
+  EXPECT_THROW((void)session.golden_trace(), std::runtime_error);
+  EXPECT_EQ(session.traced_instructions_executed(), 2 * traced);
 }
 
 }  // namespace

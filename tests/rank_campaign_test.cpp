@@ -102,7 +102,7 @@ TEST_P(RankedAppCampaign, FourRankCountsDeterministic) {
   auto prepared_nofork = prepared;
   prepared_nofork.fork.enabled = false;
 
-  util::ThreadPool pool1(1), pool2(2), pool8(8);
+  util::Scheduler pool1(1), pool2(2), pool8(8);
   const auto a =
       fault::run_rank_campaign(*app.program, prepared, app.spec.verifier,
                                pool8);
@@ -158,7 +158,7 @@ TEST(RankCampaignForking, PrefixReuseActiveWhereCommFreePrefixExists) {
   const auto snapshots =
       fault::prepare_rank_snapshots(*app.program, prepared);
   EXPECT_GT(snapshots.snapshots_taken, 0u);
-  util::ThreadPool pool(4);
+  util::Scheduler pool(4);
   const auto r =
       fault::run_rank_campaign(*app.program, prepared, app.spec.verifier,
                                pool);
@@ -231,7 +231,7 @@ TEST(AnalysisRankCampaign, SessionAndBatchedRequestAgree) {
   // on one shared pool.
   fault::CampaignConfig scalar;
   scalar.trials = 20;
-  util::ThreadPool pool(4);
+  util::Scheduler pool(4);
   const auto request = core::AnalysisRequest()
                            .app(ring_spec())
                            .analysis_regions()
@@ -245,30 +245,20 @@ TEST(AnalysisRankCampaign, SessionAndBatchedRequestAgree) {
   // Rank trials ride the same accounting as scalar trials.
   EXPECT_EQ(report.total_trials, 30u + 20u);
   EXPECT_EQ(report.campaign_units, 2u);
-  EXPECT_EQ(report.pool_batches, 1u);  // still ONE batched dispatch
+  EXPECT_EQ(pool.parallel_for_calls(), 1u);  // still ONE batched dispatch
   EXPECT_GT(report.total_instructions, 0u);
 
-  // Legacy per-unit scheduling produces the same counts.
-  const auto legacy = core::run_analysis(
-      core::AnalysisRequest()
-          .app(ring_spec())
-          .analysis_regions()
-          .success_rates(scalar)
-          .rank_campaign(cfg)
-          .pool(&pool)
-          .execution(core::ExecutionMode::LegacyPerRegion));
-  ASSERT_TRUE(legacy.apps[0].rank_campaign.has_value());
-  expect_same_counts(*report.apps[0].rank_campaign,
-                     *legacy.apps[0].rank_campaign);
+  // The batched scalar entry matches the imperative per-region call.
   const auto* entry = report.find("ringapp", "main",
                                   fault::TargetClass::Internal);
-  const auto* legacy_entry = legacy.find("ringapp", "main",
-                                         fault::TargetClass::Internal);
   ASSERT_NE(entry, nullptr);
-  ASSERT_NE(legacy_entry, nullptr);
-  EXPECT_EQ(entry->campaign.success, legacy_entry->campaign.success);
-  EXPECT_EQ(entry->campaign.failed, legacy_entry->campaign.failed);
-  EXPECT_EQ(entry->campaign.crashed, legacy_entry->campaign.crashed);
+  scalar.pool = &pool;
+  const auto direct_entry = session.region_campaign(
+      entry->region_id, entry->instance, fault::TargetClass::Internal, scalar);
+  EXPECT_EQ(entry->campaign.trials, direct_entry.trials);
+  EXPECT_EQ(entry->campaign.success, direct_entry.success);
+  EXPECT_EQ(entry->campaign.failed, direct_entry.failed);
+  EXPECT_EQ(entry->campaign.crashed, direct_entry.crashed);
 }
 
 TEST(AnalysisRankCampaign, SerialVsParallelComparisonShape) {

@@ -2,12 +2,13 @@
 // parallel_for semantics, steal correctness (every task runs exactly once,
 // wherever it runs), nested parallel_for from workers and from submitted
 // tasks, exception propagation with full chunk joins, counter semantics,
-// and campaign count-identity across executor implementations and sizes.
+// and campaign count-identity across worker counts and a serial recount.
 // This test runs under the TSan CI job — the deque protocol, the idle
 // backoff and the help-first join are exactly the code paths a race would
 // hide in.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -20,7 +21,6 @@
 #include "core/analysis.h"
 #include "fault/campaign.h"
 #include "util/scheduler.h"
-#include "util/thread_pool.h"
 
 namespace ft {
 namespace {
@@ -205,31 +205,43 @@ TEST(Scheduler, CounterSemantics) {
   EXPECT_EQ(sched.size(), 2u);
 }
 
-// The Executor seam: campaign counts are bit-identical across executor
-// implementations and worker counts — the scheduler changes WHERE trials
-// run, never what they compute.
-TEST(Scheduler, CampaignCountsMatchLegacyPoolAndAllSizes) {
+// Campaign counts are bit-identical at every worker count and to a serial
+// recount that runs each plan through fault::run_trial on this thread, with
+// no scheduler at all: the scheduler changes WHERE trials run, never what
+// they compute.
+TEST(Scheduler, CampaignCountsMatchSerialRecountAtAllSizes) {
   core::AnalysisSession session(apps::build_app("CG"));
   const auto& region = session.app().analysis_regions.front();
   fault::CampaignConfig cfg;
   cfg.trials = 24;
   cfg.seed = 12345;
 
-  util::ThreadPool legacy(2);
-  cfg.pool = &legacy;
-  const auto baseline = session.region_campaign(
-      region.id, 0, fault::TargetClass::Internal, cfg);
+  const auto prepared = fault::prepare_campaign(
+      *session.region_sites(region.id, 0), fault::TargetClass::Internal,
+      session.app().base, cfg);
+  const auto golden = session.golden();
+  std::array<std::size_t, fault::kNumOutcomes> serial{};
+  for (const auto& plan : prepared.plans) {
+    ++serial[static_cast<std::size_t>(
+        fault::run_trial(*session.program(), prepared, plan, golden->outputs,
+                         session.app().verifier))];
+  }
+  const auto count = [&](fault::Outcome o) {
+    return serial[static_cast<std::size_t>(o)];
+  };
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     util::Scheduler sched(workers);
     cfg.pool = &sched;
     const auto got = session.region_campaign(region.id, 0,
                                              fault::TargetClass::Internal, cfg);
-    EXPECT_EQ(got.trials, baseline.trials) << workers;
-    EXPECT_EQ(got.success, baseline.success) << workers;
-    EXPECT_EQ(got.failed, baseline.failed) << workers;
-    EXPECT_EQ(got.crashed, baseline.crashed) << workers;
-    EXPECT_EQ(got.population_bits, baseline.population_bits) << workers;
+    EXPECT_EQ(got.trials, prepared.plans.size()) << workers;
+    EXPECT_EQ(got.success, count(fault::Outcome::VerificationSuccess))
+        << workers;
+    EXPECT_EQ(got.failed, count(fault::Outcome::VerificationFailed))
+        << workers;
+    EXPECT_EQ(got.crashed, count(fault::Outcome::Crashed)) << workers;
+    EXPECT_EQ(got.population_bits, prepared.population_bits) << workers;
   }
 }
 

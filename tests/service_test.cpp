@@ -14,9 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "core/analysis.h"
 #include "core/service.h"
 #include "fault/campaign.h"
+#include "hl/builder.h"
 #include "store/artifact_store.h"
 #include "util/scheduler.h"
 
@@ -193,17 +195,59 @@ TEST(CampaignService, StreamsMonotoneProgressEndingInFinalCounts) {
   EXPECT_EQ(last.unit.crashed, want.crashed);
 }
 
+/// An application whose fault-free run divides by zero.
+apps::AppSpec trapping_app() {
+  hl::ProgramBuilder pb("trap");
+  const auto fid = pb.declare_function("main");
+  {
+    auto f = pb.define(fid);
+    auto x = f.var_i64("x", 1);
+    auto y = f.var_i64("y", 0);
+    f.emit(x.get() / y.get());
+    f.ret();
+  }
+  apps::AppSpec spec;
+  spec.name = "trap";
+  spec.module = pb.finish();
+  return spec;
+}
+
 // A failing request resolves its future with the thrown exception and does
 // not wedge the service: subsequent requests still complete.
 TEST(CampaignService, FailedRequestPropagatesAndServiceSurvives) {
   core::CampaignService service;
-  auto bad = service.submit(app_request("NO-SUCH-APP"));
+  auto bad = service.submit(
+      core::AnalysisRequest().app(trapping_app()).app_campaign(
+          small_campaign()));
   EXPECT_THROW(bad.get(), std::runtime_error);
   EXPECT_EQ(service.stats().requests_failed, 1u);
 
   const auto report = service.run(app_request("CG"));
   EXPECT_TRUE(report.find_app("CG")->whole_app.has_value());
   EXPECT_EQ(service.stats().requests_completed, 1u);
+}
+
+// An unknown registry name is rejected by submit() itself, before
+// admission: nothing is counted, nothing is in flight, and the service then
+// serves a valid request.
+TEST(CampaignService, UnknownAppIsRejectedBeforeAdmission) {
+  core::CampaignService service;
+  EXPECT_THROW((void)service.submit(app_request("NO-SUCH-APP")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)service.submit(app_request("CG").app("NO-SUCH-APP")),
+      std::invalid_argument);
+  auto stats = service.stats();
+  EXPECT_EQ(stats.requests_admitted, 0u);
+  EXPECT_EQ(stats.requests_failed, 0u);
+  EXPECT_EQ(stats.sessions_created, 0u);
+  EXPECT_EQ(stats.inflight, 0u);
+
+  const auto report = service.run(app_request("CG"));
+  EXPECT_TRUE(report.find_app("CG")->whole_app.has_value());
+  stats = service.stats();
+  EXPECT_EQ(stats.requests_admitted, 1u);
+  EXPECT_EQ(stats.requests_completed, 1u);
 }
 
 }  // namespace
