@@ -221,9 +221,8 @@ BENCHMARK(BM_LocationEventsQueries);
 
 void BM_DiffRun(benchmark::State& state) {
   const auto mod = make_kernel();
-  // Both diff BMs thread the same reserve hint (the record count a session
-  // would pass), so the legacy/columnar substrate A/B times appending, not
-  // reallocation churn.
+  // The lockstep diff gets the record count a session would pass as its
+  // reserve hint, so the A/B below times execution, not reallocation churn.
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(5000, 33);
   opts.reserve_records = acl::diff_run(mod, opts).usable_records();
@@ -234,19 +233,26 @@ void BM_DiffRun(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffRun);
 
-void BM_DiffRunColumnar(benchmark::State& state) {
+/// The columnar diff against a golden trace traced once up front (what an
+/// AnalysisSession caches): only the faulty program runs per iteration.
+void BM_DiffAgainstGolden(benchmark::State& state) {
   const auto mod = make_kernel();
   const auto prog = std::make_shared<const vm::DecodedProgram>(
       vm::DecodedProgram::decode(mod));
+  trace::ColumnTrace sink(prog);
+  vm::VmOptions base;
+  base.column_sink = &sink;
+  const auto golden_run = vm::Vm::run(*prog, base);
+  const auto golden =
+      std::make_shared<const trace::ColumnTrace>(std::move(sink));
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(5000, 33);
-  opts.reserve_records = acl::diff_run(*prog, opts).usable_records();
   for (auto _ : state) {
-    auto diff = acl::diff_run_columnar(prog, opts);
+    auto diff = acl::diff_against_golden(golden, golden_run, opts);
     benchmark::DoNotOptimize(diff.differs.size());
   }
 }
-BENCHMARK(BM_DiffRunColumnar);
+BENCHMARK(BM_DiffAgainstGolden);
 
 void BM_AclSweep(benchmark::State& state) {
   const auto mod = make_kernel();

@@ -6,11 +6,14 @@
 // Reports instructions/sec for both substrates, the resident bytes/record
 // of each, and verifies end-to-end analysis equivalence: identical ACL
 // series/events and pattern counts for one injection analyzed on both
-// substrates. scripts/bench_smoke.sh gates on the columnar path staying
-// >= 2x the observer baseline and >= 3x smaller per record; the binary
-// exits nonzero if the equivalence check fails.
+// substrates (the lockstep diff vs the golden-backed columnar diff, whose
+// wall times it also prints). scripts/bench_smoke.sh gates on the columnar
+// path staying >= 2x the observer baseline and >= 3x smaller per record;
+// the binary exits nonzero if the equivalence check fails.
 //
 //   trace_substrate_ab [--reps=N] [--app=NAME]
+#include <algorithm>
+
 #include "acl/table.h"
 #include "bench_common.h"
 #include "patterns/detect.h"
@@ -55,20 +58,24 @@ int run_main(int argc, char** argv) {
       best.bytes_per_record = static_cast<double>(sizeof(vm::DynInstr));
     }
   };
+  // The last columnar run is kept as the golden trace the diff below reads.
+  std::shared_ptr<const trace::ColumnTrace> golden;
+  vm::RunResult golden_run;
   const auto run_columnar = [&](Measured& best) {
     trace::ColumnTrace sink(prog);
     vm::VmOptions opts = app.base;
     opts.program = prog.get();
     opts.column_sink = &sink;
     const util::Stopwatch sw;
-    const auto r = vm::Vm::run(app.module, opts);
+    golden_run = vm::Vm::run(app.module, opts);
     const double s = sw.seconds();
     if (s < best.seconds) {
       best.seconds = s;
-      best.instructions = r.instructions;
+      best.instructions = golden_run.instructions;
       best.records = sink.size();
       best.bytes_per_record = sink.bytes_per_record();
     }
+    golden = std::make_shared<const trace::ColumnTrace>(std::move(sink));
   };
 
   // Interleave rep by rep so a host load spike penalizes both substrates.
@@ -94,22 +101,23 @@ int run_main(int argc, char** argv) {
               observer.bytes_per_record / columnar.bytes_per_record);
 
   // --- end-to-end equivalence: same injection, both substrates -------------
+  // The lockstep diff re-executes the clean run beside the faulty one; the
+  // columnar diff reads the clean side from the golden trace above.
   acl::DiffOptions dopts;
   dopts.base = app.base;
   dopts.fault = vm::FaultPlan::result_bit(20000, 33);
-  // Apples-to-apples timing: both substrates get the same reserve hint
-  // (the golden record count, what AnalysisSession passes), so neither
-  // side pays reallocation churn the other avoided.
+  // The lockstep diff gets the golden record count as its reserve hint (what
+  // AnalysisSession passes); the columnar diff sizes from the golden trace.
   dopts.reserve_records = columnar.records;
   const util::Stopwatch legacy_sw;
   const auto legacy_diff = acl::diff_run(*prog, dopts);
   const double legacy_diff_ms = legacy_sw.millis();
   const util::Stopwatch col_sw;
-  const auto col_diff = acl::diff_run_columnar(prog, dopts);
+  const auto col_diff = acl::diff_against_golden(golden, golden_run, dopts);
   const double col_diff_ms = col_sw.millis();
-  std::printf("diff wall (reserved %zu records): legacy %.1f ms, "
-              "columnar %.1f ms\n",
-              dopts.reserve_records, legacy_diff_ms, col_diff_ms);
+  std::printf("diff wall (%zu records): lockstep %.1f ms, "
+              "golden-backed columnar %.1f ms\n",
+              legacy_diff.usable_records(), legacy_diff_ms, col_diff_ms);
 
   const auto legacy_events = trace::LocationEvents::build(
       std::span<const vm::DynInstr>(legacy_diff.faulty.records.data(),
@@ -129,8 +137,12 @@ int run_main(int argc, char** argv) {
                    a.faulty_bits == b.faulty_bits &&
                    a.clean_bits == b.clean_bits;
   }
-  const bool identical = events_equal && legacy_acl.count == col_acl.count &&
-                         legacy_patterns.counts == col_patterns.counts;
+  const bool identical =
+      events_equal && legacy_acl.count == col_acl.count &&
+      legacy_patterns.counts == col_patterns.counts &&
+      legacy_diff.divergence_index == col_diff.divergence_index &&
+      legacy_diff.differs == col_diff.differs &&
+      std::ranges::equal(legacy_diff.clean_bits, col_diff.clean_bits);
   std::printf("acl equivalence: %s (%zu events, %zu series points, "
               "pattern counts %s)\n",
               identical ? "identical" : "MISMATCH", col_acl.events.size(),

@@ -1,28 +1,34 @@
-// Lockstep differential execution.
+// Differential execution.
 //
 // FlipTracker's analyses compare a faulty run against a matching fault-free
 // run (§III-D: "we compare the values of input and output locations ...
 // between faulty and fault-free runs"). Because the VM is deterministic, the
 // two instruction streams are identical record-by-record until either the
 // fault alters control flow (a corrupted branch) or the faulty run traps.
-// diff_run() steps both VMs in lockstep, records the faulty stream, the
-// matching clean result values, and the first divergence point if any.
+// A diff records the faulty stream, the matching clean result values, and
+// the first divergence point if any.
 //
 // Two result substrates:
-//  * DiffResult      — array-of-structs trace::Trace faulty stream; produced
-//                      by both diff_run overloads. The module overload (the
-//                      legacy-engine A/B reference) only produces this form.
+//  * DiffResult      — array-of-structs trace::Trace faulty stream; diff_run
+//                      steps a clean and a faulty VM in lockstep. The module
+//                      overload (the legacy-engine A/B reference) only
+//                      produces this form. It is also the reference the
+//                      columnar diff is pinned against.
 //  * ColumnDiff      — columnar trace::ColumnTrace faulty stream, produced
-//                      by diff_run_columnar on the decoded engine. Same
-//                      clean-side columns and divergence semantics; the ACL
-//                      sweep and the pattern detectors consume it through
-//                      TraceView without materializing records. This is
-//                      what core::AnalysisSession::patterns_for runs on.
+//                      by diff_against_golden: the clean side is the
+//                      already-traced golden run, so only the faulty program
+//                      executes (traced through the direct-emit hot loop,
+//                      its tail untraced). Same divergence semantics as
+//                      diff_run; the ACL sweep and the pattern detectors
+//                      consume it through TraceView without materializing
+//                      records. This is what core::AnalysisSession::
+//                      patterns_for runs on.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ir/module.h"
@@ -38,8 +44,8 @@ struct DiffOptions {
   vm::VmOptions base;     // seed / mpi / budget; observer & fault ignored
   vm::FaultPlan fault;    // the injection for the faulty run
   std::size_t max_records = 0;  // cap on materialized records (0 = no cap)
-  /// Expected record count (e.g. the session's golden-trace size): the
-  /// faulty stream and the per-record clean columns reserve this up front
+  /// Expected record count (e.g. the session's golden-trace size): diff_run's
+  /// faulty stream and per-record clean columns reserve this up front
   /// instead of growing through a dozen reallocations.
   std::size_t reserve_records = 0;
 };
@@ -67,12 +73,17 @@ struct DiffResult {
   }
 };
 
-/// Columnar differential result: identical semantics to DiffResult with the
-/// faulty stream on the columnar substrate (~4x smaller resident).
+/// Columnar differential result: DiffResult's semantics with the faulty
+/// stream on the columnar substrate (~4x smaller resident) and the clean
+/// side read from the golden trace instead of copied.
 struct ColumnDiff {
   trace::ColumnTrace faulty;
-  std::vector<std::uint64_t> clean_bits;
-  std::vector<std::array<std::uint64_t, vm::kMaxTracedOps>> clean_op_bits;
+  /// The fault-free stream the faulty one was compared against; its first
+  /// usable_records() rows are the clean records matching records().
+  std::shared_ptr<const trace::ColumnTrace> golden;
+  /// Clean result bits per usable record: a prefix of the golden trace's
+  /// result column (kept alive by `golden`).
+  std::span<const std::uint64_t> clean_bits;
   util::Bitset differs;
   std::uint64_t divergence_index = kNoIndex;
   bool truncated = false;
@@ -100,12 +111,21 @@ struct ColumnDiff {
 [[nodiscard]] DiffResult diff_run(const vm::DecodedProgram& program,
                                   const DiffOptions& opts);
 
-/// Columnar lockstep diff on the decoded engine. The faulty stream lands in
-/// a ColumnTrace that shares `program` (the shared_ptr keeps the decoded
-/// form alive past the call); records materialize bit-identically to the
-/// diff_run overloads (pinned by tests/column_trace_test.cpp).
-[[nodiscard]] ColumnDiff diff_run_columnar(
-    std::shared_ptr<const vm::DecodedProgram> program,
-    const DiffOptions& opts);
+/// Columnar diff against an already-traced fault-free run. Only the
+/// faulty program executes: the direct-emit traced hot loop runs it in
+/// bounded slices, each slice's pcs are compared with the golden pc
+/// column, and at the divergence (or the record cap) the sink is detached
+/// and the tail runs untraced — natively when opts.base.jit is set. Past
+/// the cap, divergence detection goes on one untraced step at a time.
+/// Results equal diff_run's on the same options (pinned by
+/// tests/column_trace_test.cpp).
+///
+/// PRECONDITION: `golden` and `golden_run` are the completed fault-free
+/// traced run of `golden->program()` under the same base options (seed,
+/// budget, mpi) as `opts.base`. opts.reserve_records is not used: the
+/// golden row count sizes the faulty stream.
+[[nodiscard]] ColumnDiff diff_against_golden(
+    std::shared_ptr<const trace::ColumnTrace> golden,
+    const vm::RunResult& golden_run, const DiffOptions& opts);
 
 }  // namespace ft::acl

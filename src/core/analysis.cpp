@@ -34,7 +34,8 @@ AnalysisSession::AnalysisSession(apps::AppSpec app)
   }
 }
 
-const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked() {
+const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked()
+    const {
   if (!golden_) {
     if (store_) {
       if (auto cached = store_->load_golden(
@@ -59,7 +60,7 @@ const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked() {
 }
 
 const std::shared_ptr<const trace::ColumnTrace>&
-AnalysisSession::trace_locked() {
+AnalysisSession::trace_locked() const {
   std::uint64_t trapped_at = 0;
   const auto& tr = try_trace_locked(&trapped_at);
   if (!tr) {
@@ -70,7 +71,7 @@ AnalysisSession::trace_locked() {
 }
 
 const std::shared_ptr<const trace::ColumnTrace>&
-AnalysisSession::try_trace_locked(std::uint64_t* trapped_at) {
+AnalysisSession::try_trace_locked(std::uint64_t* trapped_at) const {
   if (!trace_ && trace_trap_) {
     *trapped_at = *trace_trap_;
     return trace_;  // still null
@@ -162,12 +163,13 @@ AnalysisSession::sites_locked(std::uint32_t region_id,
   return sites;
 }
 
-std::shared_ptr<const vm::RunResult> AnalysisSession::golden() {
+std::shared_ptr<const vm::RunResult> AnalysisSession::golden() const {
   std::lock_guard lock(mu_);
   return golden_locked();
 }
 
-std::shared_ptr<const trace::ColumnTrace> AnalysisSession::golden_trace() {
+std::shared_ptr<const trace::ColumnTrace> AnalysisSession::golden_trace()
+    const {
   std::lock_guard lock(mu_);
   return trace_locked();
 }
@@ -387,12 +389,14 @@ acl::DiffResult AnalysisSession::diff_with(const vm::FaultPlan& plan,
 
 acl::ColumnDiff AnalysisSession::column_diff_with(
     const vm::FaultPlan& plan, std::size_t max_records) const {
+  // The trace first: a trapping traced run throws golden_trace()'s error.
+  auto trace = golden_trace();
+  const auto golden_run = golden();
   acl::DiffOptions opts;
   opts.base = app_.base;
   opts.fault = plan;
   opts.max_records = max_records;
-  opts.reserve_records = diff_reserve_hint();
-  return acl::diff_run_columnar(program_, opts);
+  return acl::diff_against_golden(std::move(trace), *golden_run, opts);
 }
 
 patterns::PatternReport AnalysisSession::patterns_for(

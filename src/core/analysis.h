@@ -108,15 +108,15 @@ class AnalysisSession {
 
   // --- golden artifacts (lazy, cached, thread-safe) -------------------------
   /// Fault-free run (no tracing). Throws if the fault-free run traps.
-  std::shared_ptr<const vm::RunResult> golden();
+  std::shared_ptr<const vm::RunResult> golden() const;
   /// Fault-free traced run on the columnar substrate (trace/column.h): the
   /// decoded engine emits records straight into the ColumnTrace, and every
   /// downstream golden artifact (region instances, location events, site
   /// enumerations, DDDGs, IO classification, pattern rates) reads it
   /// through TraceView spans. Costs ~20 bytes + 8 per recorded operand per
   /// dynamic instruction (vs 128 for a DynInstr vector); dropped with
-  /// invalidate_trace().
-  std::shared_ptr<const trace::ColumnTrace> golden_trace();
+  /// invalidate_trace(). Throws if the traced fault-free run traps.
+  std::shared_ptr<const trace::ColumnTrace> golden_trace() const;
   std::shared_ptr<const std::vector<trace::RegionInstance>> region_instances();
   std::shared_ptr<const trace::LocationEvents> golden_events();
   /// Fault-free pattern rates of the whole program (Table IV features).
@@ -206,30 +206,34 @@ class AnalysisSession {
   [[nodiscard]] compose::ComposedResult run_compositional(
       const fault::CampaignConfig& config);
 
-  // --- per-plan analyses (stateless; safe from any thread) ------------------
-  /// Differential run under one fault plan (array-of-structs faulty
-  /// stream; prefer column_diff_with for bulk analyses).
+  // --- per-plan analyses (safe from any thread) ------------------------------
+  /// Lockstep differential run under one fault plan (array-of-structs
+  /// faulty stream; prefer column_diff_with for bulk analyses).
   [[nodiscard]] acl::DiffResult diff_with(const vm::FaultPlan& plan,
                                           std::size_t max_records = 0) const;
-  /// Differential run on the columnar substrate (~4x smaller faulty
-  /// stream, direct column appends instead of 128-byte record pushes).
+  /// Differential run on the columnar substrate, against the cached golden
+  /// trace (computed on first use): only the faulty program executes, and
+  /// the clean side is read from the trace. Throws golden_trace()'s error
+  /// when the traced fault-free run traps.
   [[nodiscard]] acl::ColumnDiff column_diff_with(
       const vm::FaultPlan& plan, std::size_t max_records = 0) const;
-  /// ACL series + pattern detection for one fault plan. Runs on the
-  /// columnar differential pipeline.
+  /// ACL series + pattern detection for one fault plan. Runs on
+  /// column_diff_with (and throws what it throws).
   [[nodiscard]] patterns::PatternReport patterns_for(
       const vm::FaultPlan& plan, std::size_t max_records = 0) const;
 
  private:
   // All *_locked helpers assume mu_ is held and may compute + fill caches.
-  const std::shared_ptr<const vm::RunResult>& golden_locked();
-  const std::shared_ptr<const trace::ColumnTrace>& trace_locked();
+  // The golden run and trace are logically const caches: filling them
+  // changes cost, never results, so const accessors may fill them.
+  const std::shared_ptr<const vm::RunResult>& golden_locked() const;
+  const std::shared_ptr<const trace::ColumnTrace>& trace_locked() const;
   /// The golden trace, or null when the traced fault-free run traps (its
   /// retired instruction count then lands in `*trapped_at`; the trap is
   /// cached, so the program runs traced at most once). trace_locked()
   /// throws instead.
   const std::shared_ptr<const trace::ColumnTrace>& try_trace_locked(
-      std::uint64_t* trapped_at);
+      std::uint64_t* trapped_at) const;
   /// Record-count reserve hint for differential runs: the golden
   /// instruction count when the golden run is cached, else 0.
   [[nodiscard]] std::size_t diff_reserve_hint() const;
@@ -253,12 +257,12 @@ class AnalysisSession {
   std::shared_ptr<store::ArtifactStore> store_;  // guarded by mu_
   std::atomic<std::uint64_t> module_hash_{0};    // set once on attach_store
   std::atomic<std::uint64_t> options_hash_{0};
-  std::atomic<std::uint64_t> traced_executed_{0};
-  std::shared_ptr<const vm::RunResult> golden_;
-  std::shared_ptr<const trace::ColumnTrace> trace_;
+  mutable std::atomic<std::uint64_t> traced_executed_{0};
+  mutable std::shared_ptr<const vm::RunResult> golden_;
+  mutable std::shared_ptr<const trace::ColumnTrace> trace_;
   /// Retired count at which the traced fault-free run trapped, once seen:
   /// later trace requests fail from it instead of re-running the program.
-  std::optional<std::uint64_t> trace_trap_;
+  mutable std::optional<std::uint64_t> trace_trap_;
   std::shared_ptr<const std::vector<trace::RegionInstance>> instances_;
   std::shared_ptr<const trace::LocationEvents> events_;
   std::shared_ptr<const patterns::PatternRates> rates_;

@@ -17,27 +17,30 @@ std::vector<vm::FaultPlan> sample_plans(const SiteEnumerationResult& sites,
                                         std::size_t trials,
                                         std::uint64_t seed) {
   std::vector<vm::FaultPlan> plans;
-  plans.reserve(trials);
-  util::Rng rng(seed);
   const auto& pop = sites.sites;
+  const bool internal = target == TargetClass::Internal;
+  const std::uint64_t total = internal ? pop.internal_bits() : pop.input_bits();
+  if (total == 0) return plans;
 
-  if (target == TargetClass::Internal) {
-    const std::uint64_t total = pop.internal_bits();
-    if (total == 0) return plans;
-    for (std::size_t t = 0; t < trials; ++t) {
-      const auto [site, bit] = pick_weighted(
-          pop.internal, rng.below(total),
-          [](const InternalSite& s) { return std::uint64_t{s.width_bits}; });
+  // Draw every trial's offset first (the generator's sequence fixes the
+  // plans), then resolve them all in one sweep over the sites.
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> offsets(trials);
+  for (auto& u : offsets) u = rng.below(total);
+  plans.reserve(trials);
+  if (internal) {
+    const auto picks = pick_weighted(
+        pop.internal, offsets,
+        [](const InternalSite& s) { return std::uint64_t{s.width_bits}; });
+    for (const auto& [site, bit] : picks) {
       if (site) plans.push_back(plan_for_internal(*site, bit));
     }
   } else {
-    const std::uint64_t total = pop.input_bits();
-    if (total == 0) return plans;
-    for (std::size_t t = 0; t < trials; ++t) {
-      const auto [site, bit] = pick_weighted(
-          pop.input, rng.below(total), [](const InputSite& s) {
-            return std::uint64_t{8} * s.width_bytes;
-          });
+    const auto picks =
+        pick_weighted(pop.input, offsets, [](const InputSite& s) {
+          return std::uint64_t{8} * s.width_bytes;
+        });
+    for (const auto& [site, bit] : picks) {
       if (site) plans.push_back(plan_for_input(pop, *site, bit));
     }
   }

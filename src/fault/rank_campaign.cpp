@@ -125,13 +125,15 @@ PreparedRankCampaign prepare_rank_campaign(const RankEnumeration& enumeration,
   // Width-weighted sampling over the all-ranks site population, from one
   // seeded generator — the plan list is fixed before any trial runs.
   util::Rng rng(config.seed);
+  std::vector<std::uint64_t> offsets(trials);
+  for (auto& u : offsets) u = rng.below(out.population_bits);
+  const auto picks = detail::pick_weighted(
+      enumeration.sites, offsets,
+      [](const RankSite& s) { return std::uint64_t{s.width_bits}; });
   out.plans.reserve(trials);
   out.plan_rank.reserve(trials);
   out.fork_bounds.reserve(trials);
-  for (std::size_t t = 0; t < trials; ++t) {
-    const auto [site, bit] = detail::pick_weighted(
-        enumeration.sites, rng.below(out.population_bits),
-        [](const RankSite& s) { return std::uint64_t{s.width_bits}; });
+  for (const auto& [site, bit] : picks) {
     if (!site) continue;
     out.plans.push_back(vm::FaultPlan::result_bit(site->dyn_index, bit));
     out.plan_rank.push_back(site->rank);

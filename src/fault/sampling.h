@@ -7,22 +7,42 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 namespace ft::fault::detail {
 
-/// Pick the site containing global bit offset `u` (sites weighted by
-/// width). Returns the site and the bit offset within it.
+/// Resolve every global bit offset in `offsets` to the site containing it
+/// (sites weighted by width) and the bit offset within that site, in the
+/// order of `offsets`. The offsets are sorted once and resolved in one
+/// sweep over the sites: O(T log T + S) for T offsets and S sites instead
+/// of a linear scan per offset. An offset past the population resolves to
+/// {nullptr, 0}.
 template <typename Site, typename WidthFn>
-std::pair<const Site*, std::uint32_t> pick_weighted(
-    const std::vector<Site>& sites, std::uint64_t u, const WidthFn& width_of) {
+std::vector<std::pair<const Site*, std::uint32_t>> pick_weighted(
+    const std::vector<Site>& sites, const std::vector<std::uint64_t>& offsets,
+    const WidthFn& width_of) {
+  std::vector<std::size_t> order(offsets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return offsets[a] < offsets[b];
+  });
+  std::vector<std::pair<const Site*, std::uint32_t>> out(offsets.size(),
+                                                         {nullptr, 0});
+  std::size_t next = 0;  // first unresolved entry of `order`
+  std::uint64_t begin = 0;  // global offset of the current site's bit 0
   for (const auto& s : sites) {
-    const std::uint64_t w = width_of(s);
-    if (u < w) return {&s, static_cast<std::uint32_t>(u)};
-    u -= w;
+    if (next == order.size()) break;
+    const std::uint64_t end = begin + width_of(s);
+    for (; next < order.size() && offsets[order[next]] < end; ++next) {
+      out[order[next]] = {&s,
+                          static_cast<std::uint32_t>(offsets[order[next]] -
+                                                     begin)};
+    }
+    begin = end;
   }
-  return {nullptr, 0};
+  return out;
 }
 
 /// Lower a snapshot-count cap to a byte budget: a snapshot is dominated by

@@ -1,5 +1,6 @@
 #include "patterns/detect.h"
 
+#include <span>
 #include <unordered_map>
 
 #include "patterns/def_tracker.h"
@@ -17,7 +18,7 @@ namespace {
 
 class Detector final : public acl::SweepInspector {
  public:
-  Detector(const std::vector<std::uint64_t>& clean_bits,
+  Detector(std::span<const std::uint64_t> clean_bits,
            const DetectOptions& opts, PatternReport& report)
       : clean_bits_(clean_bits), opts_(opts), report_(report) {}
 
@@ -102,7 +103,7 @@ class Detector final : public acl::SweepInspector {
     unsigned decreases = 0;
   };
 
-  const std::vector<std::uint64_t>& clean_bits_;
+  std::span<const std::uint64_t> clean_bits_;
   const DetectOptions& opts_;
   PatternReport& report_;
   DefTracker defs_;

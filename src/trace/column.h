@@ -214,12 +214,6 @@ class ColumnTrace {
     op_bits_.reserve(records * 2);
   }
 
-  /// Append one already-materialized record (the lockstep diff path, which
-  /// steps two VMs and records the faulty side). `pc` is the record's flat
-  /// pc (Vm::next_pc() before the step). Reconstructs to a record
-  /// bit-identical to `d`.
-  void append(const vm::DynInstr& d, std::uint32_t pc);
-
   // --- reading ---------------------------------------------------------------
   /// Reconstruct row `row` into `out`, bit-identical to the DynInstr the
   /// observer path would have delivered.

@@ -29,7 +29,8 @@
 ///                  campaign fast path).
 ///   * Vm::step() — retire one instruction at a time; used by the lockstep
 ///                  differential engine (src/acl/) to compare a faulty and a
-///                  fault-free execution.
+///                  fault-free execution, and by the golden-backed diff to
+///                  look for a divergence past its record cap.
 ///   * Vm::run_until() — run the decoded hot loop up to a target retired
 ///                  count and stop with the machine still Running. Paired
 ///                  with save()/restore()/fork_from() (Vm::Snapshot) this
@@ -169,6 +170,13 @@ class Vm {
   /// column sink; incompatible with an observer.
   void run_until(std::uint64_t target);
 
+  /// Stop recording on a paused machine: the attached column sink keeps
+  /// exactly the rows retired so far, and later runs take the untraced
+  /// paths (natively when VmOptions::jit is set). The golden-backed diff
+  /// (src/acl/) traces a faulty run up to its divergence and finishes it
+  /// this way.
+  void detach_column_sink() noexcept { opts_.column_sink = nullptr; }
+
   /// Deep-copy the full machine state (memory image, frame stack, live
   /// register/argument slots, stack pointer, RNG, outputs, region counts,
   /// retired count) into `out`, reusing its buffers. Everything execution
@@ -262,8 +270,8 @@ class Vm {
   [[nodiscard]] std::uint32_t region_instances(std::uint32_t rid) const;
 
   /// Flat pc of the next instruction to retire (decoded engine only). The
-  /// lockstep differential engine pairs this with step() to append faulty
-  /// records into a ColumnTrace without a static-coordinate lookup.
+  /// differential engines pair this with step() to find where a faulty run
+  /// leaves the fault-free path without a static-coordinate lookup.
   [[nodiscard]] std::uint32_t next_pc() const noexcept {
     return dframes_.back().pc;
   }

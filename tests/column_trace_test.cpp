@@ -7,16 +7,23 @@
 //    record of an instruction that traps mid-flight);
 //  * the CSR LocationEvents vs the map-of-vectors oracle (tests/oracles.h)
 //    — query-by-query identical over every touched location;
-//  * diff_run_columnar vs diff_run — identical faulty streams, clean
-//    columns, differs bits, and downstream ACL series / pattern counts.
+//  * diff_against_golden vs the lockstep diff_run — identical faulty
+//    streams, clean columns, differs bits, divergence and run results, and
+//    downstream ACL series / pattern counts, on all ten workloads for
+//    result-bit and region-input plans, a control-flow divergence, a
+//    trapping and a hanging faulty run, and record caps before a
+//    divergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "acl/diff.h"
 #include "acl/table.h"
 #include "apps/app.h"
 #include "core/analysis.h"
+#include "fault/campaign.h"
 #include "oracles.h"
 #include "patterns/detect.h"
 #include "trace/collector.h"
@@ -212,55 +219,56 @@ TEST(LocationEventsCsr, QueryByQueryMatchesLegacyMap) {
   EXPECT_FALSE(csr.touched_after(ghost, 0));
 }
 
-// --- columnar diff vs legacy diff ----------------------------------------------
+// --- golden-backed diff vs the lockstep diff ----------------------------------
 
-class ColumnDiffEquivalence : public ::testing::TestWithParam<std::string> {};
+void expect_same_run(const vm::RunResult& want, const vm::RunResult& got) {
+  EXPECT_EQ(want.trap, got.trap);
+  EXPECT_EQ(want.instructions, got.instructions);
+  EXPECT_EQ(want.fault_fired, got.fault_fired);
+  EXPECT_TRUE(want.outputs == got.outputs);
+}
 
-TEST_P(ColumnDiffEquivalence, DiffAclAndPatternsMatch) {
-  const auto app = apps::build_app(GetParam());
-  const auto prog = std::make_shared<const vm::DecodedProgram>(
-      vm::DecodedProgram::decode(app.module));
-
-  acl::DiffOptions opts;
-  opts.base = app.base;
-  opts.fault = vm::FaultPlan::result_bit(20000, 33);
-  opts.max_records = 150000;
-
-  const auto legacy = acl::diff_run(*prog, opts);
-  const auto columnar = acl::diff_run_columnar(prog, opts);
-
-  EXPECT_EQ(legacy.divergence_index, columnar.divergence_index);
-  EXPECT_EQ(legacy.truncated, columnar.truncated);
-  EXPECT_EQ(legacy.clean_result.trap, columnar.clean_result.trap);
-  EXPECT_EQ(legacy.faulty_result.trap, columnar.faulty_result.trap);
-  EXPECT_TRUE(legacy.clean_result.outputs == columnar.clean_result.outputs);
-  EXPECT_TRUE(legacy.faulty_result.outputs == columnar.faulty_result.outputs);
-  ASSERT_EQ(legacy.usable_records(), columnar.usable_records());
-  EXPECT_TRUE(legacy.clean_bits == columnar.clean_bits);
-  EXPECT_TRUE(legacy.clean_op_bits == columnar.clean_op_bits);
-  EXPECT_TRUE(legacy.differs == columnar.differs);
-  ASSERT_EQ(legacy.faulty.records.size(), columnar.faulty.size());
+/// The golden-backed diff against the lockstep oracle: divergence,
+/// truncation, both run results, every faulty record, the clean bits and
+/// operands, the differs bits, and the ACL series and pattern counts built
+/// over both.
+void expect_diffs_equal(const acl::DiffResult& want, const acl::ColumnDiff& got) {
+  EXPECT_EQ(want.divergence_index, got.divergence_index);
+  EXPECT_EQ(want.truncated, got.truncated);
+  expect_same_run(want.clean_result, got.clean_result);
+  expect_same_run(want.faulty_result, got.faulty_result);
+  ASSERT_EQ(want.usable_records(), got.usable_records());
+  ASSERT_EQ(want.faulty.records.size(), got.faulty.size());
+  EXPECT_TRUE(std::ranges::equal(want.clean_bits, got.clean_bits));
+  EXPECT_TRUE(want.differs == got.differs);
   std::size_t i = 0;
-  for (const vm::DynInstr& r : columnar.faulty.view()) {
-    ASSERT_TRUE(same_record(legacy.faulty.records[i], r)) << "record " << i;
+  for (const vm::DynInstr& r : got.records()) {
+    ASSERT_TRUE(same_record(want.faulty.records[i], r))
+        << "record " << i << ": " << describe(r);
     ++i;
   }
+  i = 0;
+  for (const vm::DynInstr& c :
+       got.golden->view().prefix(got.usable_records())) {
+    ASSERT_EQ(c.result_bits, want.clean_bits[i]) << "clean record " << i;
+    ASSERT_TRUE(c.op_bits == want.clean_op_bits[i]) << "clean record " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, want.usable_records());
 
-  // Downstream: ACL series/events and pattern counts must be identical on
-  // both substrates.
-  const auto legacy_events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(legacy.faulty.records.data(),
-                                    legacy.usable_records()));
-  const auto col_events = trace::LocationEvents::build(columnar.records());
-  const auto legacy_acl = acl::build_acl(legacy, legacy_events);
-  const auto col_acl = acl::build_acl(columnar, col_events);
-  EXPECT_TRUE(legacy_acl.count == col_acl.count);
-  EXPECT_EQ(legacy_acl.max_count, col_acl.max_count);
-  EXPECT_EQ(legacy_acl.first_corruption_index, col_acl.first_corruption_index);
-  ASSERT_EQ(legacy_acl.events.size(), col_acl.events.size());
-  for (std::size_t e = 0; e < legacy_acl.events.size(); ++e) {
-    const auto& a = legacy_acl.events[e];
-    const auto& b = col_acl.events[e];
+  const auto want_events = trace::LocationEvents::build(
+      std::span<const vm::DynInstr>(want.faulty.records.data(),
+                                    want.usable_records()));
+  const auto got_events = trace::LocationEvents::build(got.records());
+  const auto want_acl = acl::build_acl(want, want_events);
+  const auto got_acl = acl::build_acl(got, got_events);
+  EXPECT_TRUE(want_acl.count == got_acl.count);
+  EXPECT_EQ(want_acl.max_count, got_acl.max_count);
+  EXPECT_EQ(want_acl.first_corruption_index, got_acl.first_corruption_index);
+  ASSERT_EQ(want_acl.events.size(), got_acl.events.size());
+  for (std::size_t e = 0; e < want_acl.events.size(); ++e) {
+    const auto& a = want_acl.events[e];
+    const auto& b = got_acl.events[e];
     EXPECT_EQ(a.index, b.index);
     EXPECT_EQ(a.loc, b.loc);
     EXPECT_EQ(a.kind, b.kind);
@@ -268,11 +276,182 @@ TEST_P(ColumnDiffEquivalence, DiffAclAndPatternsMatch) {
     EXPECT_EQ(a.faulty_bits, b.faulty_bits);
     EXPECT_EQ(a.clean_bits, b.clean_bits);
   }
+  EXPECT_TRUE(patterns::detect_patterns(want, want_events).counts ==
+              patterns::detect_patterns(got, got_events).counts);
+}
 
-  const auto legacy_patterns =
-      patterns::detect_patterns(legacy, legacy_events);
-  const auto col_patterns = patterns::detect_patterns(columnar, col_events);
-  EXPECT_TRUE(legacy_patterns.counts == col_patterns.counts);
+/// Golden run and trace of `prog` under `base`.
+struct Golden {
+  std::shared_ptr<const trace::ColumnTrace> trace;
+  vm::RunResult run;
+};
+
+Golden traced_golden(const std::shared_ptr<const vm::DecodedProgram>& prog,
+                     vm::VmOptions base) {
+  trace::ColumnTrace sink(prog);
+  base.column_sink = &sink;
+  Golden g;
+  g.run = vm::Vm::run(*prog, base);
+  g.trace = std::make_shared<const trace::ColumnTrace>(std::move(sink));
+  return g;
+}
+
+/// One flip of bit `bit` of the result of the `nth` golden row (from row
+/// `from` on) whose opcode is `op`, or nullopt when there is none.
+std::optional<vm::FaultPlan> flip_nth(const trace::ColumnTrace& golden,
+                                      ir::Opcode op, std::size_t from,
+                                      std::size_t nth, std::uint32_t bit) {
+  for (std::size_t row = from; row < golden.size(); ++row) {
+    if (golden.opcode_at(row) == op && nth-- == 0) {
+      return vm::FaultPlan::result_bit(row, bit);
+    }
+  }
+  return std::nullopt;
+}
+
+/// The first flip of bit `bit` of an `op` result (one of the first `tries`
+/// `op` rows from row `from` on, every `stride`-th) whose untraced faulty
+/// run satisfies `pred`.
+template <class Pred>
+std::optional<vm::FaultPlan> find_flip(const vm::DecodedProgram& prog,
+                                       const vm::VmOptions& base,
+                                       const trace::ColumnTrace& golden,
+                                       ir::Opcode op, std::size_t from,
+                                       std::uint32_t bit, Pred pred,
+                                       std::size_t tries = 64,
+                                       std::size_t stride = 3) {
+  for (std::size_t k = 0; k < tries; k += stride) {
+    const auto plan = flip_nth(golden, op, from, k, bit);
+    if (!plan) break;
+    vm::VmOptions o = base;
+    o.fault = *plan;
+    if (pred(vm::Vm::run(prog, o))) return plan;
+  }
+  return std::nullopt;
+}
+
+class ColumnDiffEquivalence : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ColumnDiffEquivalence, GoldenBackedDiffMatchesLockstepOracle) {
+  core::AnalysisSession session(apps::build_app(GetParam()));
+  const auto& app = session.app();
+  const auto& prog = session.program();
+  const auto golden_trace = session.golden_trace();
+  const auto golden_run = session.golden();
+  const std::size_t rows = golden_trace->size();
+  ASSERT_EQ(rows, golden_run->instructions);
+
+  const Golden golden{golden_trace, *golden_run};
+  bool saw_trap = false, saw_cap_before_div = false;
+  // Diff `plan` both ways and compare; returns the lockstep oracle's diff.
+  const auto check = [&](const std::string& name, const vm::FaultPlan& plan,
+                         std::size_t max_records, const Golden& g,
+                         const vm::VmOptions& base) {
+    SCOPED_TRACE(GetParam() + ": " + name);
+    acl::DiffOptions opts;
+    opts.base = base;
+    opts.fault = plan;
+    opts.max_records = max_records;
+    auto want = acl::diff_run(*prog, opts);
+    // The tail runs natively when the base carries a JIT; either way the
+    // diff equals the lockstep oracle.
+    for (const bool native : {false, true}) {
+      if (native && !base.jit) continue;
+      acl::DiffOptions o = opts;
+      if (!native) o.base.jit = nullptr;
+      expect_diffs_equal(want, acl::diff_against_golden(g.trace, g.run, o));
+      if (HasFatalFailure()) break;
+    }
+    saw_trap |= want.diverged() && !want.faulty_result.completed() &&
+                want.divergence_index == want.faulty_result.instructions;
+    saw_cap_before_div |= want.truncated && want.diverged() &&
+                          want.divergence_index > want.usable_records();
+    return want;
+  };
+
+  const auto sites = session.whole_program_sites();
+  const auto result_bit_plans =
+      fault::sample_plans(*sites, fault::TargetClass::Internal, 2, 11);
+  ASSERT_FALSE(result_bit_plans.empty());
+  for (const auto& plan : result_bit_plans) {
+    check("result bit", plan, 0, golden, app.base);
+    if (HasFatalFailure()) return;
+  }
+  check("cap before the end", result_bit_plans.front(), rows / 3, golden,
+        app.base);
+  for (const auto& rd : app.analysis_regions) {
+    const auto inputs = fault::sample_plans(*session.region_sites(rd.id, 0),
+                                            fault::TargetClass::Input, 1, 13);
+    if (!inputs.empty()) {
+      check("region input " + rd.name, inputs.front(), 0, golden, app.base);
+      break;
+    }
+  }
+  if (HasFatalFailure()) return;
+
+  // A flipped comparison steers a branch the other way: the faulty stream
+  // leaves the golden path with no trap. A record cap before that point
+  // still reports the divergence.
+  const auto diverging = find_flip(
+      *prog, app.base, *golden_trace, ir::Opcode::ICmp, rows / 3, 0,
+      [](const vm::RunResult& r) { return r.completed(); });
+  ASSERT_TRUE(diverging);
+  const auto diverged =
+      check("control-flow divergence", *diverging, 0, golden, app.base);
+  if (HasFatalFailure()) return;
+  ASSERT_TRUE(diverged.diverged());
+  check("divergence past the cap", *diverging, diverged.divergence_index / 2,
+        golden, app.base);
+  // A cap of exactly the usable records is reached: truncated.
+  check("cap at the divergence", *diverging, diverged.divergence_index, golden,
+        app.base);
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(saw_cap_before_div);
+
+  // A high bit flipped into an address computation faults the access.
+  const auto trapping = find_flip(
+      *prog, app.base, *golden_trace, ir::Opcode::Gep, rows / 4, 45,
+      [](const vm::RunResult& r) {
+        return !r.completed() && r.trap != vm::TrapKind::Hang;
+      });
+  ASSERT_TRUE(trapping);
+  check("trapping faulty run", *trapping, 0, golden, app.base);
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(saw_trap);
+
+  // A hang under a small budget: the golden run just fits, a faulty run
+  // whose flipped loop-exit or convergence test runs the loop on exhausts
+  // it.
+  vm::VmOptions tight = app.base;
+  tight.max_instructions = rows;
+  std::optional<vm::FaultPlan> hanging;
+  for (const auto op : {ir::Opcode::ICmp, ir::Opcode::FCmp}) {
+    if (!hanging) {
+      hanging = find_flip(
+          *prog, tight, *golden_trace, op, rows / 2, 0,
+          [](const vm::RunResult& r) { return r.trap == vm::TrapKind::Hang; },
+          512, 1);
+    }
+  }
+  ASSERT_TRUE(hanging);
+  const auto tight_golden = traced_golden(prog, tight);
+  ASSERT_TRUE(tight_golden.run.completed());
+  const auto hung =
+      check("hang under a small budget", *hanging, 0, tight_golden, tight);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(hung.faulty_result.trap, vm::TrapKind::Hang);
+
+  // The session's entry points run the same diff.
+  acl::DiffOptions o;
+  o.base = app.base;
+  o.fault = result_bit_plans.front();
+  const auto want = acl::diff_run(*prog, o);
+  expect_diffs_equal(want, session.column_diff_with(o.fault));
+  const auto want_events = trace::LocationEvents::build(
+      std::span<const vm::DynInstr>(want.faulty.records.data(),
+                                    want.usable_records()));
+  EXPECT_TRUE(session.patterns_for(o.fault).counts ==
+              patterns::detect_patterns(want, want_events).counts);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, ColumnDiffEquivalence,

@@ -4,10 +4,13 @@
 
 #include <cmath>
 
+#include "apps/app.h"
 #include "fault/campaign.h"
 #include "fault/outcome.h"
+#include "fault/sampling.h"
 #include "fault/sites.h"
 #include "hl/builder.h"
+#include "oracles.h"
 #include "util/bits.h"
 #include "util/stats.h"
 #include "vm/interp.h"
@@ -114,6 +117,81 @@ TEST(Plans, InputPlansTargetRegionEntry) {
     EXPECT_EQ(p.kind, vm::FaultPlan::Kind::RegionInputMemoryBit);
     EXPECT_EQ(p.region_id, h.rid);
     EXPECT_EQ(p.region_instance, 0u);
+  }
+}
+
+void expect_same_plans(const std::vector<vm::FaultPlan>& want,
+                       const std::vector<vm::FaultPlan>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].kind, got[i].kind) << "plan " << i;
+    EXPECT_EQ(want[i].dyn_index, got[i].dyn_index) << "plan " << i;
+    EXPECT_EQ(want[i].region_id, got[i].region_id) << "plan " << i;
+    EXPECT_EQ(want[i].region_instance, got[i].region_instance) << "plan " << i;
+    EXPECT_EQ(want[i].address, got[i].address) << "plan " << i;
+    EXPECT_EQ(want[i].width_bytes, got[i].width_bytes) << "plan " << i;
+    EXPECT_EQ(want[i].bit, got[i].bit) << "plan " << i;
+  }
+}
+
+// The one-sweep batched pick resolves every offset exactly as a linear scan
+// per offset does, in the offsets' order: random populations with
+// zero-width sites, duplicate and boundary offsets, and offsets past the
+// end.
+TEST(Plans, BatchedPickMatchesLinearPick) {
+  util::Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<fault::InternalSite> sites(rng.below(40));
+    std::uint64_t total = 0;
+    for (auto& s : sites) {
+      s.width_bits = static_cast<std::uint32_t>(rng.below(4) == 0
+                                                    ? 0
+                                                    : 1 + rng.below(64));
+      total += s.width_bits;
+    }
+    std::vector<std::uint64_t> offsets(rng.below(50));
+    for (auto& u : offsets) {
+      switch (rng.below(4)) {
+        case 0: u = total + rng.below(3); break;  // past the end
+        case 1: u = offsets.front(); break;       // a duplicate
+        default: u = total == 0 ? 0 : rng.below(total); break;
+      }
+    }
+    const auto width = [](const fault::InternalSite& s) {
+      return std::uint64_t{s.width_bits};
+    };
+    const auto got = fault::detail::pick_weighted(sites, offsets, width);
+    ASSERT_EQ(got.size(), offsets.size());
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      const auto want = oracle::linear_pick(sites, offsets[i], width);
+      EXPECT_EQ(want.first, got[i].first) << "round " << round << " " << i;
+      EXPECT_EQ(want.second, got[i].second) << "round " << round << " " << i;
+    }
+  }
+}
+
+// sample_plans is bit-identical, plan for plan, to the per-trial linear pick
+// on every application's whole-program population and on the input
+// population of its first analysis region.
+TEST(Plans, SamplingMatchesLinearPickOnAllApps) {
+  for (const auto& name : apps::all_app_names()) {
+    SCOPED_TRACE(name);
+    const auto app = apps::build_app(name);
+    const auto whole = fault::enumerate_whole_program_sites(app.module,
+                                                            app.base);
+    ASSERT_FALSE(whole.sites.internal.empty());
+    for (const std::uint64_t seed : {1ull, 7919ull}) {
+      expect_same_plans(
+          oracle::linear_sample_plans(whole, fault::TargetClass::Internal,
+                                      97, seed),
+          fault::sample_plans(whole, fault::TargetClass::Internal, 97, seed));
+    }
+    if (app.analysis_regions.empty()) continue;
+    const auto region = fault::enumerate_sites(
+        app.module, app.analysis_regions.front().id, 0, app.base);
+    expect_same_plans(
+        oracle::linear_sample_plans(region, fault::TargetClass::Input, 97, 5),
+        fault::sample_plans(region, fault::TargetClass::Input, 97, 5));
   }
 }
 

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/app.h"
@@ -302,6 +304,33 @@ TEST(GoldenPassesTrap, TrappedGoldenRunYieldsEmptyPopulation) {
   session.invalidate_trace();
   EXPECT_THROW((void)session.golden_trace(), std::runtime_error);
   EXPECT_EQ(session.traced_instructions_executed(), 2 * traced);
+}
+
+// The golden-backed diff reads the clean side from the golden trace, so on
+// a program whose traced fault-free run traps, column_diff_with and
+// patterns_for throw the error golden_trace() throws — without running the
+// traced program again.
+TEST(GoldenPassesTrap, DiffsThrowTheGoldenTraceError) {
+  apps::AppSpec spec;
+  spec.name = "trap";
+  spec.module = trapping_program();
+  core::AnalysisSession session(std::move(spec));
+  const auto message = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "<no exception>";
+  };
+  const std::string want = message([&] { (void)session.golden_trace(); });
+  ASSERT_NE(want, "<no exception>");
+  const std::uint64_t traced = session.traced_instructions_executed();
+  const auto plan = vm::FaultPlan::result_bit(5, 3);
+  EXPECT_EQ(message([&] { (void)session.column_diff_with(plan); }), want);
+  EXPECT_EQ(message([&] { (void)session.patterns_for(plan); }), want);
+  EXPECT_EQ(message([&] { (void)session.patterns_for(plan, 8); }), want);
+  EXPECT_EQ(session.traced_instructions_executed(), traced);
 }
 
 }  // namespace

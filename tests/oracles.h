@@ -9,7 +9,9 @@
 //    the accumulation chase, a set of written locations for overwrites and
 //    one liveness query per write for dead writes;
 //  * observer_whole_program_sites — whole-program internal sites collected
-//    by an observer during an execution of their own.
+//    by an observer during an execution of their own;
+//  * linear_pick / linear_sample_plans — width-weighted site selection by a
+//    linear scan of the sites per trial.
 #pragma once
 
 #include <algorithm>
@@ -19,10 +21,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "fault/campaign.h"
 #include "fault/sites.h"
 #include "patterns/def_tracker.h"
 #include "patterns/rates.h"
 #include "trace/events.h"
+#include "util/rng.h"
 #include "vm/interp.h"
 
 namespace ft::oracle {
@@ -205,6 +209,50 @@ fault::SiteEnumerationResult observer_whole_program_sites(
   out.region_found = run.completed();
   if (!run.completed()) out.sites.internal.clear();
   return out;
+}
+
+/// The site containing global bit offset `u` (sites weighted by width) and
+/// the bit offset within it, by a linear scan; {nullptr, 0} past the end.
+template <typename Site, typename WidthFn>
+std::pair<const Site*, std::uint32_t> linear_pick(
+    const std::vector<Site>& sites, std::uint64_t u, const WidthFn& width_of) {
+  for (const auto& s : sites) {
+    const std::uint64_t w = width_of(s);
+    if (u < w) return {&s, static_cast<std::uint32_t>(u)};
+    u -= w;
+  }
+  return {nullptr, 0};
+}
+
+/// fault::sample_plans with one linear pick per trial.
+inline std::vector<vm::FaultPlan> linear_sample_plans(
+    const fault::SiteEnumerationResult& sites, fault::TargetClass target,
+    std::size_t trials, std::uint64_t seed) {
+  std::vector<vm::FaultPlan> plans;
+  util::Rng rng(seed);
+  const auto& pop = sites.sites;
+  if (target == fault::TargetClass::Internal) {
+    const std::uint64_t total = pop.internal_bits();
+    if (total == 0) return plans;
+    for (std::size_t t = 0; t < trials; ++t) {
+      const auto [site, bit] = linear_pick(
+          pop.internal, rng.below(total), [](const fault::InternalSite& s) {
+            return std::uint64_t{s.width_bits};
+          });
+      if (site) plans.push_back(fault::plan_for_internal(*site, bit));
+    }
+  } else {
+    const std::uint64_t total = pop.input_bits();
+    if (total == 0) return plans;
+    for (std::size_t t = 0; t < trials; ++t) {
+      const auto [site, bit] = linear_pick(
+          pop.input, rng.below(total), [](const fault::InputSite& s) {
+            return std::uint64_t{8} * s.width_bytes;
+          });
+      if (site) plans.push_back(fault::plan_for_input(pop, *site, bit));
+    }
+  }
+  return plans;
 }
 
 }  // namespace ft::oracle

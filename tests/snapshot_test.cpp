@@ -11,6 +11,7 @@
 #include "apps/app.h"
 #include "fault/campaign.h"
 #include "fault/sites.h"
+#include "jit/jit_program.h"
 #include "trace/column.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
@@ -192,6 +193,57 @@ TEST_P(SnapshotEquivalence, ColumnarTraceSurvivesPauseAndResume) {
   for (std::size_t row = 0; row < full.size(); row += 101) {
     ASSERT_TRUE(same_record(full.record(row), rewound.record(row)))
         << "at rewound row " << row;
+  }
+}
+
+// A traced machine paused by run_until and then detached from its sink
+// keeps exactly the rows it retired, and finishes untraced — natively with
+// the JIT on, in the interpreter with it off — with the result of a run
+// that was never traced, clean and with a fault that fires in the tail.
+TEST_P(SnapshotEquivalence, DetachedSinkKeepsRetiredRowsAndFinishesUntraced) {
+  const auto app = apps::build_app(GetParam());
+  const auto prog = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(app.module));
+  const auto jit = jit::JitProgram::runtime_enabled()
+                       ? jit::JitProgram::compile(*prog)
+                       : nullptr;
+
+  trace::ColumnTrace full(prog);
+  vm::VmOptions traced = app.base;
+  traced.column_sink = &full;
+  ASSERT_TRUE(vm::Vm::run(*prog, traced).completed());
+  const std::uint64_t midpoint = full.size() / 2;
+  // A register-defining row past the pause: its flip fires in the tail.
+  std::uint64_t flip_row = midpoint + 100;
+  while (full.opcode_at(flip_row) == ir::Opcode::Ret ||
+         !vm::is_reg_loc(full.locations(flip_row).result_loc)) {
+    ++flip_row;
+  }
+
+  for (const auto& plan : {vm::FaultPlan::none(),
+                           vm::FaultPlan::result_bit(flip_row, 51)}) {
+    vm::VmOptions base = app.base;
+    base.fault = plan;
+    const auto untraced = vm::Vm::run(*prog, base);
+    EXPECT_EQ(untraced.fault_fired, plan.kind != vm::FaultPlan::Kind::None);
+    std::vector<const jit::JitProgram*> engines{nullptr};
+    if (jit) engines.push_back(jit.get());  // no native engine on some hosts
+    for (const auto* engine : engines) {
+      vm::VmOptions opts = base;
+      opts.jit = engine;
+      trace::ColumnTrace sink(prog);
+      opts.column_sink = &sink;
+      vm::Vm vm(*prog, opts);
+      vm.run_until(midpoint);
+      vm.detach_column_sink();
+      ASSERT_EQ(sink.size(), midpoint);
+      for (std::size_t row = 0; row < midpoint; row += 7) {
+        ASSERT_TRUE(same_record(full.record(row), sink.record(row)))
+            << "at row " << row;
+      }
+      expect_same_result(vm.run(), untraced);
+      EXPECT_EQ(sink.size(), midpoint);
+    }
   }
 }
 
