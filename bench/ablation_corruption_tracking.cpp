@@ -37,10 +37,9 @@ int run_main(int argc, char** argv) {
     std::uint64_t vd_max = 0, vd_over = 0, vd_dead = 0, vd_masked = 0;
     std::uint64_t tt_max = 0, tt_over = 0, tt_dead = 0;
     for (const auto& plan : plans) {
-      const auto diff = session.diff_with(plan);
-      const auto span = std::span<const vm::DynInstr>(
-          diff.faulty.records.data(), diff.usable_records());
-      const auto events = trace::LocationEvents::build(span);
+      const auto diff = session.column_diff_with(plan);
+      const auto records = diff.records();
+      const auto events = trace::LocationEvents::build(records);
 
       // Paper mode: value comparison, with the pattern detectors attached.
       const auto rep = patterns::detect_patterns(diff, events);
@@ -54,10 +53,10 @@ int run_main(int argc, char** argv) {
       // Prior-work mode: pure dataflow taint from the injected write.
       if (plan.kind == vm::FaultPlan::Kind::ResultBit &&
           plan.dyn_index < diff.usable_records()) {
-        const auto& seed_rec = diff.faulty.records[plan.dyn_index];
-        if (seed_rec.result_loc != vm::kNoLoc) {
+        const auto seed_loc = diff.faulty.locations(plan.dyn_index).result_loc;
+        if (seed_loc != vm::kNoLoc) {
           const auto taint = acl::build_acl_taint(
-              span.subspan(plan.dyn_index), events, seed_rec.result_loc,
+              records.slice(plan.dyn_index, records.size()), events, seed_loc,
               plan.dyn_index);
           tt_max = std::max<std::uint64_t>(tt_max, taint.max_count);
           tt_over += taint.kills(acl::AclEventKind::KillOverwrite);

@@ -44,11 +44,15 @@ int run_main(int argc, char** argv) {
                             static_cast<double>(r.trials)
                       : 0.0;
     };
+    // A population with no trials (no input sites) has no rates: n/a, not
+    // a zero that reads as "every trial failed".
+    const bool input_ran = input && input->campaign.trials > 0;
     table.add_row(
         {e.app, e.region_name, util::Table::num(internal.success_rate(), 3),
-         util::Table::num(input ? input->campaign.success_rate() : 0.0, 3),
+         input_ran ? util::Table::num(input->campaign.success_rate(), 3)
+                   : "n/a",
          util::Table::num(crash_rate(internal), 3),
-         util::Table::num(input ? crash_rate(input->campaign) : 0.0, 3),
+         input_ran ? util::Table::num(crash_rate(input->campaign), 3) : "n/a",
          std::to_string(internal.population_bits)});
   }
   table.print(std::cout);

@@ -219,36 +219,32 @@ void BM_LocationEventsQueries(benchmark::State& state) {
 }
 BENCHMARK(BM_LocationEventsQueries);
 
-void BM_DiffRun(benchmark::State& state) {
-  const auto mod = make_kernel();
-  // The lockstep diff gets the record count a session would pass as its
-  // reserve hint, so the A/B below times execution, not reallocation churn.
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(5000, 33);
-  opts.reserve_records = acl::diff_run(mod, opts).usable_records();
-  for (auto _ : state) {
-    auto diff = acl::diff_run(mod, opts);
-    benchmark::DoNotOptimize(diff.differs.size());
-  }
-}
-BENCHMARK(BM_DiffRun);
+/// The fault-free run of `prog`, traced once up front (the golden trace an
+/// AnalysisSession caches): the clean side of every diff below.
+struct Golden {
+  std::shared_ptr<const trace::ColumnTrace> trace;
+  vm::RunResult run;
+};
 
-/// The columnar diff against a golden trace traced once up front (what an
-/// AnalysisSession caches): only the faulty program runs per iteration.
-void BM_DiffAgainstGolden(benchmark::State& state) {
-  const auto mod = make_kernel();
-  const auto prog = std::make_shared<const vm::DecodedProgram>(
-      vm::DecodedProgram::decode(mod));
+Golden trace_golden(const std::shared_ptr<const vm::DecodedProgram>& prog) {
   trace::ColumnTrace sink(prog);
   vm::VmOptions base;
   base.column_sink = &sink;
-  const auto golden_run = vm::Vm::run(*prog, base);
-  const auto golden =
-      std::make_shared<const trace::ColumnTrace>(std::move(sink));
+  Golden g;
+  g.run = vm::Vm::run(*prog, base);
+  g.trace = std::make_shared<const trace::ColumnTrace>(std::move(sink));
+  return g;
+}
+
+/// The golden-backed diff: only the faulty program runs per iteration.
+void BM_DiffAgainstGolden(benchmark::State& state) {
+  const auto mod = make_kernel();
+  const auto golden = trace_golden(std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(mod)));
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(5000, 33);
   for (auto _ : state) {
-    auto diff = acl::diff_against_golden(golden, golden_run, opts);
+    auto diff = acl::diff_against_golden(golden.trace, golden.run, opts);
     benchmark::DoNotOptimize(diff.differs.size());
   }
 }
@@ -256,12 +252,12 @@ BENCHMARK(BM_DiffAgainstGolden);
 
 void BM_AclSweep(benchmark::State& state) {
   const auto mod = make_kernel();
+  const auto golden = trace_golden(std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(mod)));
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(5000, 33);
-  const auto diff = acl::diff_run(mod, opts);
-  const auto events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(diff.faulty.records.data(),
-                                    diff.usable_records()));
+  const auto diff = acl::diff_against_golden(golden.trace, golden.run, opts);
+  const auto events = trace::LocationEvents::build(diff.records());
   for (auto _ : state) {
     auto acl_series = acl::build_acl(diff, events);
     benchmark::DoNotOptimize(acl_series.count.data());

@@ -119,7 +119,7 @@ int run_main(int argc, char** argv) {
   }
   std::printf("%s\n", any ? "" : "none observed");
 
-  const auto diff = session.diff_with(plan);
+  const auto diff = session.column_diff_with(plan);
   std::printf("outcome: %s\n",
               std::string(fault::outcome_name(fault::classify_outcome(
                   diff.faulty_result, diff.clean_result.outputs,

@@ -65,9 +65,10 @@ int main() {
               "(dynamic instruction %llu)\n",
               static_cast<unsigned long long>(target));
 
-  // 4. Differential run: faulty vs fault-free, in lockstep.
+  // 4. Differential run: only the faulty program executes; the fault-free
+  //    side is read from the cached golden trace, record by record.
   const auto plan = vm::FaultPlan::result_bit(target, 50);
-  const auto diff = session.diff_with(plan);
+  const auto diff = session.column_diff_with(plan);
   std::printf("faulty sum = %.3f (clean %.3f)\n",
               diff.faulty_result.outputs[0].as_f64(),
               diff.clean_result.outputs[0].as_f64());

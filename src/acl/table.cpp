@@ -72,10 +72,10 @@ struct CorruptInfo {
 /// Shared forward sweep. `write_corrupt(i, record)` decides whether the
 /// value committed by record i is corrupted; everything else (liveness,
 /// kills, series) is identical between value-diff and taint modes.
-/// `Range` is any ordered record range — a DynInstr span or a columnar
-/// TraceView (whose cursor materializes records on the fly).
-template <typename Range, typename WriteCorruptFn, typename CleanBitsFn>
-AclSeries sweep(const Range& records,
+/// The records are read through the TraceView cursor, which materializes
+/// each one on the fly.
+template <typename WriteCorruptFn, typename CleanBitsFn>
+AclSeries sweep(const trace::TraceView& records,
                 const trace::LocationEvents& events,
                 const WriteCorruptFn& write_corrupt,
                 const CleanBitsFn& clean_bits_of,
@@ -163,18 +163,18 @@ AclSeries sweep(const Range& records,
   return out;
 }
 
-/// Value-diff build over either diff substrate.
-template <typename Diff, typename Range>
-AclSeries build_acl_impl(const Diff& diff, const Range& records,
-                         const trace::LocationEvents& events,
-                         vm::Location seed_loc, std::uint64_t seed_index,
-                         SweepInspector* inspector) {
+}  // namespace
+
+AclSeries build_acl(const ColumnDiff& diff,
+                    const trace::LocationEvents& events,
+                    vm::Location seed_loc, std::uint64_t seed_index,
+                    SweepInspector* inspector) {
   std::unordered_map<vm::Location, CorruptInfo> init;
   if (seed_loc != vm::kNoLoc) {
     init.emplace(seed_loc, CorruptInfo{seed_index, 0, 0, ir::Type::Void});
   }
   auto out = sweep(
-      records, events,
+      diff.records(), events,
       [&](std::size_t i, const vm::DynInstr&) { return bool(diff.differs[i]); },
       [&](std::size_t i) { return diff.clean_bits[i]; }, std::move(init),
       inspector);
@@ -185,27 +185,7 @@ AclSeries build_acl_impl(const Diff& diff, const Range& records,
   return out;
 }
 
-}  // namespace
-
-AclSeries build_acl(const DiffResult& diff,
-                    const trace::LocationEvents& events,
-                    vm::Location seed_loc, std::uint64_t seed_index,
-                    SweepInspector* inspector) {
-  return build_acl_impl(diff,
-                        std::span<const vm::DynInstr>(
-                            diff.faulty.records.data(), diff.usable_records()),
-                        events, seed_loc, seed_index, inspector);
-}
-
-AclSeries build_acl(const ColumnDiff& diff,
-                    const trace::LocationEvents& events,
-                    vm::Location seed_loc, std::uint64_t seed_index,
-                    SweepInspector* inspector) {
-  return build_acl_impl(diff, diff.records(), events, seed_loc, seed_index,
-                        inspector);
-}
-
-AclSeries build_acl_taint(std::span<const vm::DynInstr> records,
+AclSeries build_acl_taint(trace::TraceView records,
                           const trace::LocationEvents& events,
                           vm::Location seed, std::uint64_t seed_index) {
   // The taint set lives inside the write_corrupt closure: a write is corrupt

@@ -370,23 +370,6 @@ fault::RankCampaignResult AnalysisSession::rank_campaign(
   return fault::run_rank_campaign(*program_, prepared, app_.verifier, *pool);
 }
 
-std::size_t AnalysisSession::diff_reserve_hint() const {
-  std::lock_guard lock(mu_);
-  // A clean-vs-faulty lockstep stream has exactly one record per golden
-  // instruction until divergence — the right reserve when it is known.
-  return golden_ ? static_cast<std::size_t>(golden_->instructions) : 0;
-}
-
-acl::DiffResult AnalysisSession::diff_with(const vm::FaultPlan& plan,
-                                           std::size_t max_records) const {
-  acl::DiffOptions opts;
-  opts.base = app_.base;
-  opts.fault = plan;
-  opts.max_records = max_records;
-  opts.reserve_records = diff_reserve_hint();
-  return acl::diff_run(*program_, opts);
-}
-
 acl::ColumnDiff AnalysisSession::column_diff_with(
     const vm::FaultPlan& plan, std::size_t max_records) const {
   // The trace first: a trapping traced run throws golden_trace()'s error.

@@ -82,7 +82,7 @@ class AnalysisSession {
 
   /// The application's pre-decoded executable form (vm/decode.h), built
   /// once at session construction and shared immutably by every run the
-  /// session performs — golden/traced runs, lockstep diffs, and all
+  /// session performs — golden/traced runs, differential runs, and all
   /// campaign trials on all pool workers. Campaign executors hold this
   /// alongside the golden snapshot so no per-trial decode happens anywhere.
   ///
@@ -207,14 +207,10 @@ class AnalysisSession {
       const fault::CampaignConfig& config);
 
   // --- per-plan analyses (safe from any thread) ------------------------------
-  /// Lockstep differential run under one fault plan (array-of-structs
-  /// faulty stream; prefer column_diff_with for bulk analyses).
-  [[nodiscard]] acl::DiffResult diff_with(const vm::FaultPlan& plan,
-                                          std::size_t max_records = 0) const;
-  /// Differential run on the columnar substrate, against the cached golden
-  /// trace (computed on first use): only the faulty program executes, and
-  /// the clean side is read from the trace. Throws golden_trace()'s error
-  /// when the traced fault-free run traps.
+  /// Differential run under one fault plan, against the cached golden trace
+  /// (computed on first use): only the faulty program executes, and the
+  /// clean side is read from the trace. Throws golden_trace()'s error when
+  /// the traced fault-free run traps.
   [[nodiscard]] acl::ColumnDiff column_diff_with(
       const vm::FaultPlan& plan, std::size_t max_records = 0) const;
   /// ACL series + pattern detection for one fault plan. Runs on
@@ -234,9 +230,6 @@ class AnalysisSession {
   /// throws instead.
   const std::shared_ptr<const trace::ColumnTrace>& try_trace_locked(
       std::uint64_t* trapped_at) const;
-  /// Record-count reserve hint for differential runs: the golden
-  /// instruction count when the golden run is cached, else 0.
-  [[nodiscard]] std::size_t diff_reserve_hint() const;
   const std::shared_ptr<const std::vector<trace::RegionInstance>>&
   instances_locked();
   const std::shared_ptr<const trace::LocationEvents>& events_locked();

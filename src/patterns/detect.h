@@ -63,14 +63,8 @@ struct DetectOptions {
   unsigned ra_min_decreases = 2;
 };
 
-/// Detect patterns over the lockstep prefix of a differential run.
-/// `events` must be built over diff.faulty records.
-[[nodiscard]] PatternReport detect_patterns(const acl::DiffResult& diff,
-                                            const trace::LocationEvents& events,
-                                            const DetectOptions& opts = {});
-
-/// Columnar form (`events` built over diff.records()); counts, instances
-/// and the underlying ACL series are bit-identical to the DiffResult form.
+/// Detect patterns over the usable prefix of a differential run.
+/// `events` must be built over diff.records().
 [[nodiscard]] PatternReport detect_patterns(const acl::ColumnDiff& diff,
                                             const trace::LocationEvents& events,
                                             const DetectOptions& opts = {});

@@ -17,7 +17,7 @@ std::string_view tolerance_name(ToleranceCase c) noexcept {
   return "?";
 }
 
-ToleranceReport classify_tolerance(const acl::DiffResult& diff,
+ToleranceReport classify_tolerance(const acl::ColumnDiff& diff,
                                    const trace::RegionInstance& inst,
                                    const RegionIo& io,
                                    std::uint64_t fault_index) {
@@ -37,7 +37,9 @@ ToleranceReport classify_tolerance(const acl::DiffResult& diff,
 
   for (const auto& in : io.inputs) {
     if (!record_ok(in.index)) continue;
-    const std::uint64_t clean = diff.clean_op_bits[in.index][in.op_slot];
+    // The matching fault-free operand value, from the golden row.
+    const std::uint64_t clean =
+        diff.golden->record(in.index).op_bits[in.op_slot];
     if (clean != in.bits) {
       rep.corrupted_inputs++;
       rep.max_input_error = std::max(

@@ -2,7 +2,8 @@
 //
 // Given a differential run and one region instance, decides between the
 // paper's cases by comparing input/output values of the region's DDDG
-// between the faulty and fault-free executions:
+// between the faulty and fault-free executions (the fault-free values are
+// the diff's golden rows):
 //   * Case 1 ("masked"): at least one corrupted input (or the fault fired
 //     inside the region) but every output value is correct;
 //   * Case 2 ("reduced"): inputs and outputs are corrupted, but the maximum
@@ -42,10 +43,11 @@ struct ToleranceReport {
 };
 
 /// Classify one region instance of a differential run. `io` must have been
-/// classified over the same faulty trace; `fault_index` is the dynamic index
-/// at which the injection fired (see fault::fired_index), or acl::kNoIndex.
+/// classified over the same faulty trace (diff.records()); `fault_index` is
+/// the dynamic index at which the injection fired (see fault::fired_index),
+/// or acl::kNoIndex.
 [[nodiscard]] ToleranceReport classify_tolerance(
-    const acl::DiffResult& diff, const trace::RegionInstance& inst,
+    const acl::ColumnDiff& diff, const trace::RegionInstance& inst,
     const RegionIo& io, std::uint64_t fault_index);
 
 }  // namespace ft::regions

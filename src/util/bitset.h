@@ -2,9 +2,9 @@
 //
 // std::vector<bool> hides its words behind proxy references, which makes
 // every append a read-modify-write through a byte-indexed proxy and keeps
-// the optimizer from vectorizing scans. The differential engine appends one
-// "does this record differ?" bit per retired instruction, so the container
-// sits on the lockstep hot path; this bitset keeps the same 1-bit density
+// the optimizer from vectorizing scans. The differential run appends one
+// "does this record differ?" bit per compared record, so the container
+// sits on the diff's hot path; this bitset keeps the same 1-bit density
 // with plain word stores.
 #pragma once
 

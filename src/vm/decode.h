@@ -29,7 +29,7 @@
 // shared_ptr, as core::AnalysisSession does) across any number of
 // concurrent Vms. The decoded engine is record-by-record bit-identical to
 // the legacy tree-walking engine (pinned by tests/decode_test.cpp), so
-// traces, lockstep diffing and every downstream analysis are unaffected by
+// traces, differential runs and every downstream analysis are unaffected by
 // which engine produced them.
 #pragma once
 

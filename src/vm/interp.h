@@ -27,10 +27,9 @@
 ///                  through the ExecObserver hook (the gating/selective
 ///                  path). With neither, nothing is materialized (the
 ///                  campaign fast path).
-///   * Vm::step() — retire one instruction at a time; used by the lockstep
-///                  differential engine (src/acl/) to compare a faulty and a
-///                  fault-free execution, and by the golden-backed diff to
-///                  look for a divergence past its record cap.
+///   * Vm::step() — retire one instruction at a time; the golden-backed
+///                  diff (src/acl/) steps its faulty run untraced past the
+///                  record cap to look for the control-flow divergence.
 ///   * Vm::run_until() — run the decoded hot loop up to a target retired
 ///                  count and stop with the machine still Running. Paired
 ///                  with save()/restore()/fork_from() (Vm::Snapshot) this
@@ -270,7 +269,7 @@ class Vm {
   [[nodiscard]] std::uint32_t region_instances(std::uint32_t rid) const;
 
   /// Flat pc of the next instruction to retire (decoded engine only). The
-  /// differential engines pair this with step() to find where a faulty run
+  /// differential run pairs this with step() to find where a faulty run
   /// leaves the fault-free path without a static-coordinate lookup.
   [[nodiscard]] std::uint32_t next_pc() const noexcept {
     return dframes_.back().pc;

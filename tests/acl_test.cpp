@@ -1,19 +1,25 @@
 // ACL table tests, including the paper's Fig. 3 worked example, the
-// differential engine, and liveness/kill invariants.
+// differential run, and liveness/kill invariants.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "acl/diff.h"
 #include "acl/table.h"
+#include "golden_diff.h"
 #include "hl/builder.h"
 #include "trace/collector.h"
+#include "trace/column.h"
 #include "trace/events.h"
 #include "util/bits.h"
+#include "vm/decode.h"
 #include "vm/interp.h"
 
 namespace ft {
 namespace {
+
+using testing_support::golden_diff;
 
 // --- Fig. 3: hand-built record stream, taint mode -----------------------------
 //
@@ -22,35 +28,78 @@ namespace {
 // with a clean value, 6 ends the stream. Expected ACL counts after each
 // instruction: 1 1 2 2 1 0 (the last row of the paper's figure).
 
-vm::DynInstr rec(std::uint64_t index, ir::Opcode op, vm::Location result,
-                 std::initializer_list<vm::Location> reads) {
-  vm::DynInstr d;
-  d.index = index;
-  d.op = op;
-  d.result_loc = result;
-  d.type = ir::Type::F64;
-  unsigned k = 0;
-  for (const auto l : reads) {
-    d.op_loc[k] = l;
-    d.op_type[k] = ir::Type::F64;
-    k++;
+/// A columnar record stream laid out by hand over the instructions of a
+/// tiny decoded program: store(addr) writes memory cell `addr` from an
+/// immediate, load(addr) reads cell `addr` into the Load's register, ret()
+/// writes nothing. (Both address computations read one Gep register that
+/// no row corrupts.)
+class HandTrace {
+ public:
+  HandTrace() {
+    for (std::uint32_t pc = 0; pc < prog_->code_size(); ++pc) {
+      switch (prog_->code()[pc].op) {
+        case ir::Opcode::Store: store_pc_ = pc; break;
+        case ir::Opcode::Load: load_pc_ = pc; break;
+        case ir::Opcode::Ret: ret_pc_ = pc; break;
+        default: break;
+      }
+    }
   }
-  d.nops = k;
-  return d;
-}
+  HandTrace(const HandTrace&) = delete;
+  HandTrace& operator=(const HandTrace&) = delete;
+
+  void store(vm::Location addr) {
+    trace_.begin_record(store_pc_, 0);
+    trace_.push_op(util::f64_to_bits(1.0));
+    trace_.push_op(vm::loc_address(addr));
+    trace_.set_result(util::f64_to_bits(1.0));
+  }
+  void load(vm::Location addr) {
+    trace_.begin_record(load_pc_, 0);
+    trace_.push_op(vm::loc_address(addr));
+    trace_.set_result(util::f64_to_bits(1.0));
+  }
+  void ret() { trace_.begin_record(ret_pc_, 0); }
+
+  /// The register the Load writes.
+  [[nodiscard]] vm::Location load_reg() const {
+    return vm::reg_loc(0, prog_->code()[load_pc_].result);
+  }
+  [[nodiscard]] trace::TraceView view() const { return trace_.view(); }
+
+ private:
+  static ir::Module make() {
+    hl::ProgramBuilder pb("hand");
+    auto cell = pb.global_f64("cell", 1);
+    const auto fid = pb.declare_function("main");
+    {
+      auto f = pb.define(fid);
+      f.st(cell, 0, f.c_f64(1.0));
+      (void)f.ld(cell, 0);
+      f.ret();
+    }
+    return pb.finish();
+  }
+
+  ir::Module mod_ = make();
+  std::shared_ptr<const vm::DecodedProgram> prog_ =
+      std::make_shared<const vm::DecodedProgram>(
+          vm::DecodedProgram::decode(mod_));
+  trace::ColumnTrace trace_{prog_};
+  std::uint32_t store_pc_ = 0, load_pc_ = 0, ret_pc_ = 0;
+};
 
 TEST(AclTable, Figure3WorkedExample) {
-  constexpr vm::Location loc1 = 100, loc2 = 108, other = 200;
-  std::vector<vm::DynInstr> records = {
-      rec(0, ir::Opcode::Store, loc1, {}),        // 1: fault lands in Loc_1
-      rec(1, ir::Opcode::Store, other, {}),       // 2: unrelated
-      rec(2, ir::Opcode::Store, loc2, {loc1}),    // 3: Loc_1 -> Loc_2
-      rec(3, ir::Opcode::Store, other, {}),       // 4: unrelated
-      rec(4, ir::Opcode::Store, loc1, {}),        // 5: clean overwrite
-      rec(5, ir::Opcode::Ret, vm::kNoLoc, {}),    // 6: end
-  };
-  const auto events = trace::LocationEvents::build(records);
-  const auto acl = acl::build_acl_taint(records, events, loc1, 0);
+  constexpr vm::Location loc1 = vm::mem_loc(100), other = vm::mem_loc(200);
+  HandTrace t;
+  t.store(loc1);   // 1: fault lands in Loc_1
+  t.store(other);  // 2: unrelated
+  t.load(loc1);    // 3: Loc_1 -> Loc_2 (the Load's register)
+  t.store(other);  // 4: unrelated
+  t.store(loc1);   // 5: clean overwrite
+  t.ret();         // 6: end
+  const auto events = trace::LocationEvents::build(t.view());
+  const auto acl = acl::build_acl_taint(t.view(), events, loc1, 0);
 
   ASSERT_EQ(acl.count.size(), 6u);
   EXPECT_EQ(acl.count[0], 1u);
@@ -64,20 +113,21 @@ TEST(AclTable, Figure3WorkedExample) {
   EXPECT_EQ(acl.kills(acl::AclEventKind::KillOverwrite), 1u);
   EXPECT_EQ(acl.kills(acl::AclEventKind::KillEndOfTrace), 1u);
   EXPECT_EQ(acl.first_corruption_index, 0u);
+  ASSERT_FALSE(acl.events.empty());
+  EXPECT_EQ(acl.events.back().loc, t.load_reg());
 }
 
 TEST(AclTable, TaintKillDeadAtLastUse) {
-  constexpr vm::Location loc1 = 100, loc2 = 108;
+  constexpr vm::Location loc1 = vm::mem_loc(100), clean = vm::mem_loc(300);
   // Loc_1 corrupted at 0; its only use is at 1 and it is never written
   // again -> it must die *at* instruction 1 (the consuming instruction).
-  std::vector<vm::DynInstr> records = {
-      rec(0, ir::Opcode::Store, loc1, {}),
-      rec(1, ir::Opcode::Store, loc2, {loc1}),
-      rec(2, ir::Opcode::Store, loc2, {}),  // clean overwrite of Loc_2
-      rec(3, ir::Opcode::Ret, vm::kNoLoc, {}),
-  };
-  const auto events = trace::LocationEvents::build(records);
-  const auto acl = acl::build_acl_taint(records, events, loc1, 0);
+  HandTrace t;
+  t.store(loc1);
+  t.load(loc1);   // Loc_1 -> Loc_2 (the Load's register)
+  t.load(clean);  // clean overwrite of Loc_2
+  t.ret();
+  const auto events = trace::LocationEvents::build(t.view());
+  const auto acl = acl::build_acl_taint(t.view(), events, loc1, 0);
   ASSERT_EQ(acl.count.size(), 4u);
   EXPECT_EQ(acl.count[0], 1u);
   EXPECT_EQ(acl.count[1], 1u);  // Loc_1 died (dead), Loc_2 born
@@ -99,49 +149,13 @@ TEST(DiffRun, NoFaultMeansNoDifference) {
     f.ret();
   }
   auto mod = pb.finish();
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::none();
-  const auto diff = acl::diff_run(mod, opts);
+  const auto diff = golden_diff(mod, vm::FaultPlan::none());
   EXPECT_FALSE(diff.diverged());
+  EXPECT_EQ(diff.usable_records(), diff.golden->size());
   for (std::size_t i = 0; i < diff.usable_records(); ++i) {
     EXPECT_FALSE(diff.differs[i]);
   }
   EXPECT_EQ(diff.faulty_result.outputs, diff.clean_result.outputs);
-}
-
-TEST(DiffRun, ReserveRecordsIsHonoredOnTheLegacyPath) {
-  // The legacy (non-columnar) diff path must pre-reserve its outputs from
-  // DiffOptions::reserve_records exactly as the columnar path does, so
-  // substrate A/B timings compare appending, not reallocation churn. A
-  // hint far above what organic doubling would reach proves reserve ran.
-  hl::ProgramBuilder pb("t");
-  const auto fid = pb.declare_function("main");
-  {
-    auto f = pb.define(fid);
-    auto s = f.var_f64("s", 0.0);
-    f.for_("i", 0, 50, [&](hl::Value i) { s.set(s.get() + f.sitofp(i)); });
-    f.emit(s.get());
-    f.ret();
-  }
-  auto mod = pb.finish();
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(30, 1);
-  const auto records = acl::diff_run(mod, opts).usable_records();
-  ASSERT_GT(records, 0u);
-
-  opts.reserve_records = records * 4;
-  const auto reserved = acl::diff_run(mod, opts);
-  EXPECT_EQ(reserved.usable_records(), records);
-  EXPECT_GE(reserved.faulty.records.capacity(), records * 4);
-  EXPECT_GE(reserved.clean_bits.capacity(), records * 4);
-  EXPECT_GE(reserved.clean_op_bits.capacity(), records * 4);
-  EXPECT_GE(reserved.differs.words().capacity(), (records * 4 + 63) / 64);
-
-  // The cap still clamps the reserve (no over-allocation past max_records).
-  opts.max_records = records / 2;
-  const auto capped = acl::diff_run(mod, opts);
-  EXPECT_TRUE(capped.truncated);
-  EXPECT_LT(capped.faulty.records.capacity(), records * 4);
 }
 
 TEST(DiffRun, FaultShowsUpExactlyAtInjection) {
@@ -171,9 +185,8 @@ TEST(DiffRun, FaultShowsUpExactlyAtInjection) {
   }
   ASSERT_NE(load_index, 0u);
 
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(load_index, 51);
-  const auto diff = acl::diff_run(mod, opts);
+  const auto diff =
+      golden_diff(mod, vm::FaultPlan::result_bit(load_index, 51));
   ASSERT_FALSE(diff.diverged());
   // Nothing differs before the injection; the injected record differs.
   for (std::uint64_t i = 0; i < load_index; ++i) {
@@ -203,9 +216,8 @@ TEST(DiffRun, ControlFlowDivergenceIsDetected) {
   for (const auto& r : c.trace().records) {
     if (r.op == ir::Opcode::ICmp) cmp_index = r.index;
   }
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(cmp_index, 0);  // flip the i1
-  const auto diff = acl::diff_run(mod, opts);
+  // Flip the i1.
+  const auto diff = golden_diff(mod, vm::FaultPlan::result_bit(cmp_index, 0));
   EXPECT_TRUE(diff.diverged());
   EXPECT_GT(diff.divergence_index, cmp_index);
   EXPECT_NE(diff.faulty_result.outputs, diff.clean_result.outputs);
@@ -233,9 +245,8 @@ TEST(DiffRun, CrashingFaultStillReportsOutcome) {
       break;
     }
   }
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(idx_load, 40);  // huge index
-  const auto diff = acl::diff_run(mod, opts);
+  // A huge index.
+  const auto diff = golden_diff(mod, vm::FaultPlan::result_bit(idx_load, 40));
   EXPECT_EQ(diff.faulty_result.trap, vm::TrapKind::OutOfBounds);
   EXPECT_TRUE(diff.clean_result.completed());
 }
@@ -269,12 +280,9 @@ TEST(AclValueDiff, OverwriteKillsCorruption) {
     }
   }
 
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(load_idx, 50);
-  const auto diff = acl::diff_run(mod, opts);
+  const auto diff = golden_diff(mod, vm::FaultPlan::result_bit(load_idx, 50));
   ASSERT_FALSE(diff.diverged());
-  const auto events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(diff.faulty.records));
+  const auto events = trace::LocationEvents::build(diff.records());
   const auto acl_series = acl::build_acl(diff, events);
 
   // Corruption was born, propagated, and fully eliminated by the overwrite
@@ -299,12 +307,9 @@ TEST(AclValueDiff, CountNeverNegativeAndEndsAtZeroWhenMasked) {
   }
   auto mod = pb.finish();
   for (const std::uint64_t idx : {2ull, 5ull, 8ull, 11ull}) {
-    acl::DiffOptions opts;
-    opts.fault = vm::FaultPlan::result_bit(idx, 13);
-    const auto diff = acl::diff_run(mod, opts);
+    const auto diff = golden_diff(mod, vm::FaultPlan::result_bit(idx, 13));
     if (diff.diverged()) continue;
-    const auto events = trace::LocationEvents::build(
-        std::span<const vm::DynInstr>(diff.faulty.records));
+    const auto events = trace::LocationEvents::build(diff.records());
     const auto acl_series = acl::build_acl(diff, events);
     for (std::size_t i = 1; i < acl_series.count.size(); ++i) {
       // Counts move by bounded steps and stay non-negative (unsigned).

@@ -7,12 +7,14 @@
 //    record of an instruction that traps mid-flight);
 //  * the CSR LocationEvents vs the map-of-vectors oracle (tests/oracles.h)
 //    — query-by-query identical over every touched location;
-//  * diff_against_golden vs the lockstep diff_run — identical faulty
-//    streams, clean columns, differs bits, divergence and run results, and
-//    downstream ACL series / pattern counts, on all ten workloads for
+//  * diff_against_golden vs the lockstep oracle::diff_run — identical
+//    faulty streams, clean result and operand bits, differs bits,
+//    divergence, truncation and run results, on all ten workloads for
 //    result-bit and region-input plans, a control-flow divergence, a
-//    trapping and a hanging faulty run, and record caps before a
-//    divergence.
+//    trapping and a hanging faulty run, record caps before and at a
+//    divergence, and the session's entry points. (The ACL sweep and the
+//    pattern detectors read nothing else of a diff, so identical diffs
+//    give identical series and counts.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +22,10 @@
 #include <sstream>
 
 #include "acl/diff.h"
-#include "acl/table.h"
 #include "apps/app.h"
 #include "core/analysis.h"
 #include "fault/campaign.h"
+#include "golden_diff.h"
 #include "oracles.h"
 #include "patterns/detect.h"
 #include "trace/collector.h"
@@ -230,9 +232,9 @@ void expect_same_run(const vm::RunResult& want, const vm::RunResult& got) {
 
 /// The golden-backed diff against the lockstep oracle: divergence,
 /// truncation, both run results, every faulty record, the clean bits and
-/// operands, the differs bits, and the ACL series and pattern counts built
-/// over both.
-void expect_diffs_equal(const acl::DiffResult& want, const acl::ColumnDiff& got) {
+/// operands, and the differs bits.
+void expect_diffs_equal(const oracle::LockstepDiff& want,
+                        const acl::ColumnDiff& got) {
   EXPECT_EQ(want.divergence_index, got.divergence_index);
   EXPECT_EQ(want.truncated, got.truncated);
   expect_same_run(want.clean_result, got.clean_result);
@@ -255,46 +257,10 @@ void expect_diffs_equal(const acl::DiffResult& want, const acl::ColumnDiff& got)
     ++i;
   }
   EXPECT_EQ(i, want.usable_records());
-
-  const auto want_events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(want.faulty.records.data(),
-                                    want.usable_records()));
-  const auto got_events = trace::LocationEvents::build(got.records());
-  const auto want_acl = acl::build_acl(want, want_events);
-  const auto got_acl = acl::build_acl(got, got_events);
-  EXPECT_TRUE(want_acl.count == got_acl.count);
-  EXPECT_EQ(want_acl.max_count, got_acl.max_count);
-  EXPECT_EQ(want_acl.first_corruption_index, got_acl.first_corruption_index);
-  ASSERT_EQ(want_acl.events.size(), got_acl.events.size());
-  for (std::size_t e = 0; e < want_acl.events.size(); ++e) {
-    const auto& a = want_acl.events[e];
-    const auto& b = got_acl.events[e];
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.loc, b.loc);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.op, b.op);
-    EXPECT_EQ(a.faulty_bits, b.faulty_bits);
-    EXPECT_EQ(a.clean_bits, b.clean_bits);
-  }
-  EXPECT_TRUE(patterns::detect_patterns(want, want_events).counts ==
-              patterns::detect_patterns(got, got_events).counts);
 }
 
-/// Golden run and trace of `prog` under `base`.
-struct Golden {
-  std::shared_ptr<const trace::ColumnTrace> trace;
-  vm::RunResult run;
-};
-
-Golden traced_golden(const std::shared_ptr<const vm::DecodedProgram>& prog,
-                     vm::VmOptions base) {
-  trace::ColumnTrace sink(prog);
-  base.column_sink = &sink;
-  Golden g;
-  g.run = vm::Vm::run(*prog, base);
-  g.trace = std::make_shared<const trace::ColumnTrace>(std::move(sink));
-  return g;
-}
+using testing_support::Golden;
+using testing_support::traced_golden;
 
 /// One flip of bit `bit` of the result of the `nth` golden row (from row
 /// `from` on) whose opcode is `op`, or nullopt when there is none.
@@ -352,7 +318,7 @@ TEST_P(ColumnDiffEquivalence, GoldenBackedDiffMatchesLockstepOracle) {
     opts.base = base;
     opts.fault = plan;
     opts.max_records = max_records;
-    auto want = acl::diff_run(*prog, opts);
+    auto want = oracle::diff_run(*prog, opts);
     // The tail runs natively when the base carries a JIT; either way the
     // diff equals the lockstep oracle.
     for (const bool native : {false, true}) {
@@ -441,17 +407,18 @@ TEST_P(ColumnDiffEquivalence, GoldenBackedDiffMatchesLockstepOracle) {
   if (HasFatalFailure()) return;
   EXPECT_EQ(hung.faulty_result.trap, vm::TrapKind::Hang);
 
-  // The session's entry points run the same diff.
+  // The session's entry points run the same diff, and patterns_for detects
+  // over it.
   acl::DiffOptions o;
   o.base = app.base;
   o.fault = result_bit_plans.front();
-  const auto want = acl::diff_run(*prog, o);
-  expect_diffs_equal(want, session.column_diff_with(o.fault));
-  const auto want_events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(want.faulty.records.data(),
-                                    want.usable_records()));
+  const auto session_diff = session.column_diff_with(o.fault);
+  expect_diffs_equal(oracle::diff_run(*prog, o), session_diff);
   EXPECT_TRUE(session.patterns_for(o.fault).counts ==
-              patterns::detect_patterns(want, want_events).counts);
+              patterns::detect_patterns(
+                  session_diff,
+                  trace::LocationEvents::build(session_diff.records()))
+                  .counts);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, ColumnDiffEquivalence,

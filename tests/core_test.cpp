@@ -151,8 +151,8 @@ TEST(SessionCaching, MissingRegionInstanceHandledGracefully) {
 
 TEST(SessionCaching, DiffWithRecordCap) {
   core::AnalysisSession session(apps::build_sp());
-  const auto diff =
-      session.diff_with(vm::FaultPlan::result_bit(1000, 5), /*max=*/500);
+  const auto diff = session.column_diff_with(
+      vm::FaultPlan::result_bit(1000, 5), /*max_records=*/500);
   EXPECT_TRUE(diff.truncated);
   EXPECT_EQ(diff.usable_records(), 500u);
   // Outcome classification still covers the full run.

@@ -3,12 +3,11 @@
 // engine — record by record when stepped, and in outputs / trap kind /
 // fault-fired flag / retired count when run to completion (the untraced
 // hot loop). Pinned for all ten workloads, clean and faulted, plus the
-// lockstep diff_run overloads and the decoded-program structure itself.
+// decoded-program structure itself.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "acl/diff.h"
 #include "apps/app.h"
 #include "hl/builder.h"
 #include "trace/collector.h"
@@ -118,35 +117,6 @@ TEST_P(DecodeEquivalence, FaultedRunsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllApps, DecodeEquivalence,
                          ::testing::ValuesIn(apps::all_app_names()),
                          [](const auto& info) { return info.param; });
-
-// --- lockstep diff equivalence -------------------------------------------------
-
-TEST(DecodeDiff, DiffRunMatchesLegacyOverload) {
-  const auto app = apps::build_cg();
-  const auto prog = vm::DecodedProgram::decode(app.module);
-  acl::DiffOptions opts;
-  opts.base = app.base;
-  opts.fault = vm::FaultPlan::result_bit(20000, 33);
-  opts.max_records = 50000;
-
-  const auto dl = acl::diff_run(app.module, opts);
-  const auto dd = acl::diff_run(prog, opts);
-  EXPECT_EQ(dl.divergence_index, dd.divergence_index);
-  EXPECT_EQ(dl.truncated, dd.truncated);
-  EXPECT_EQ(dl.clean_result.trap, dd.clean_result.trap);
-  EXPECT_EQ(dl.faulty_result.trap, dd.faulty_result.trap);
-  EXPECT_EQ(dl.faulty_result.instructions, dd.faulty_result.instructions);
-  EXPECT_TRUE(dl.clean_result.outputs == dd.clean_result.outputs);
-  EXPECT_TRUE(dl.faulty_result.outputs == dd.faulty_result.outputs);
-  ASSERT_EQ(dl.usable_records(), dd.usable_records());
-  EXPECT_TRUE(dl.clean_bits == dd.clean_bits);
-  EXPECT_TRUE(dl.differs == dd.differs);
-  ASSERT_EQ(dl.faulty.records.size(), dd.faulty.records.size());
-  for (std::size_t i = 0; i < dl.faulty.records.size(); ++i) {
-    ASSERT_TRUE(same_record(dl.faulty.records[i], dd.faulty.records[i]))
-        << "at record " << i;
-  }
-}
 
 // --- traced-run / observer-gating equivalence ----------------------------------
 

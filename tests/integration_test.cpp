@@ -122,7 +122,7 @@ TEST(PaperFindings, IsShiftMasksLowKeyBits) {
   const auto rep = session.patterns_for(plan);
   EXPECT_TRUE(rep.found(patterns::PatternKind::Shifting));
   // The fault must also be survivable end to end.
-  const auto diff = session.diff_with(plan);
+  const auto diff = session.column_diff_with(plan);
   EXPECT_TRUE(diff.faulty_result.completed());
 }
 
@@ -165,7 +165,7 @@ TEST(PaperFindings, LuleshIndexCorruptionCrashes) {
   const auto addr = session.app().module.global(*nl_idx).addr + 3 * 8;
   const auto* l_a = session.app().find_region("l_a");
   const auto plan = vm::FaultPlan::region_input_bit(l_a->id, 0, addr, 8, 44);
-  const auto diff = session.diff_with(plan);
+  const auto diff = session.column_diff_with(plan);
   EXPECT_FALSE(diff.faulty_result.completed());  // segfault analog
 }
 

@@ -11,21 +11,30 @@
 //  * observer_whole_program_sites — whole-program internal sites collected
 //    by an observer during an execution of their own;
 //  * linear_pick / linear_sample_plans — width-weighted site selection by a
-//    linear scan of the sites per trial.
+//    linear scan of the sites per trial;
+//  * diff_run — the lockstep differential run: a clean and a faulty VM on
+//    one decoded program stepped side by side, recording the faulty stream
+//    as DynInstr records next to copies of the clean result and operand
+//    bits (acl::diff_against_golden reads the clean side from the golden
+//    trace instead).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "acl/diff.h"
 #include "fault/campaign.h"
 #include "fault/sites.h"
 #include "patterns/def_tracker.h"
 #include "patterns/rates.h"
+#include "trace/collector.h"
 #include "trace/events.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 #include "vm/interp.h"
 
@@ -253,6 +262,93 @@ inline std::vector<vm::FaultPlan> linear_sample_plans(
     }
   }
   return plans;
+}
+
+/// The lockstep diff's result: acl::ColumnDiff's fields, with the faulty
+/// stream as records and the clean side copied per record.
+struct LockstepDiff {
+  trace::Trace faulty;                     // faulty-run record stream
+  std::vector<std::uint64_t> clean_bits;   // clean result bits per record
+  std::vector<std::array<std::uint64_t, vm::kMaxTracedOps>> clean_op_bits;
+  util::Bitset differs;                    // result differs at record i
+  std::uint64_t divergence_index = acl::kNoIndex;
+  bool truncated = false;                  // record cap reached
+  vm::RunResult faulty_result;
+  vm::RunResult clean_result;
+
+  [[nodiscard]] bool diverged() const noexcept {
+    return divergence_index != acl::kNoIndex;
+  }
+  [[nodiscard]] std::size_t usable_records() const noexcept {
+    return clean_bits.size();
+  }
+};
+
+/// acl::diff_against_golden by re-executing the clean run: both machines
+/// retire one instruction per step until their pcs part, one traps, or one
+/// finishes; then both run to completion for the outcomes.
+inline LockstepDiff diff_run(const vm::DecodedProgram& program,
+                             const acl::DiffOptions& opts) {
+  using Status = vm::Vm::Status;
+  vm::VmOptions clean_opts = opts.base;
+  clean_opts.program = &program;
+  clean_opts.observer = nullptr;
+  clean_opts.column_sink = nullptr;
+  clean_opts.fault = vm::FaultPlan::none();
+  vm::VmOptions faulty_opts = clean_opts;
+  faulty_opts.fault = opts.fault;
+  vm::Vm clean(program, clean_opts);
+  vm::Vm faulty(program, faulty_opts);
+
+  LockstepDiff out;
+  vm::DynInstr crec, frec;
+  bool recording = true;
+  while (clean.status() == Status::Running &&
+         faulty.status() == Status::Running) {
+    const std::uint32_t fpc = faulty.next_pc();
+    const std::uint32_t cpc = clean.next_pc();
+    const auto cs = clean.step(&crec);
+    const auto fs = faulty.step(&frec);
+    if (cs == Status::Trapped || fs == Status::Trapped) {
+      // One side trapped mid-instruction: streams end here.
+      if (fs == Status::Trapped && !out.diverged()) {
+        out.divergence_index = frec.index;
+      }
+      break;
+    }
+    if (cpc != fpc) {
+      out.divergence_index = frec.index;
+      break;
+    }
+    if (recording) {
+      // Register defs, memory stores and emitted values are comparable.
+      const bool comparable = frec.result_loc != vm::kNoLoc ||
+                              frec.op == ir::Opcode::Emit ||
+                              frec.op == ir::Opcode::EmitTrunc;
+      out.faulty.records.push_back(frec);
+      out.clean_bits.push_back(crec.result_bits);
+      out.clean_op_bits.push_back(crec.op_bits);
+      out.differs.push_back(comparable &&
+                            frec.result_bits != crec.result_bits);
+      if (opts.max_records != 0 &&
+          out.faulty.records.size() >= opts.max_records) {
+        recording = false;
+        out.truncated = true;
+      }
+    }
+    // Streams that finish in the same step end cleanly.
+    if (cs == Status::Finished || fs == Status::Finished) {
+      if ((cs == Status::Finished) != (fs == Status::Finished)) {
+        out.divergence_index = frec.index;
+      }
+      break;
+    }
+  }
+  while (clean.status() == Status::Running) clean.step(nullptr);
+  while (faulty.status() == Status::Running) faulty.step(nullptr);
+  out.clean_result = clean.take_result();
+  out.faulty_result = faulty.take_result();
+  return out;
 }
 
 }  // namespace ft::oracle

@@ -3,7 +3,7 @@
 // counters of Table IV.
 #include <gtest/gtest.h>
 
-#include "acl/diff.h"
+#include "golden_diff.h"
 #include "hl/builder.h"
 #include "patterns/detect.h"
 #include "patterns/rates.h"
@@ -39,12 +39,8 @@ std::uint64_t find_index(const ir::Module& m, const Pred& pred,
 
 patterns::PatternReport detect(const ir::Module& m, const vm::FaultPlan& plan,
                                patterns::DetectOptions opts = {}) {
-  acl::DiffOptions dopts;
-  dopts.fault = plan;
-  const auto diff = acl::diff_run(m, dopts);
-  const auto events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(diff.faulty.records.data(),
-                                    diff.usable_records()));
+  const auto diff = testing_support::golden_diff(m, plan);
+  const auto events = trace::LocationEvents::build(diff.records());
   return patterns::detect_patterns(diff, events, opts);
 }
 

@@ -2,7 +2,7 @@
 // Case 1 / Case 2 tolerance classifier (§III-D).
 #include <gtest/gtest.h>
 
-#include "acl/diff.h"
+#include "golden_diff.h"
 #include "hl/builder.h"
 #include "regions/io.h"
 #include "regions/tolerance.h"
@@ -111,22 +111,21 @@ TEST(RegionIo, InputValuesCaptured) {
 
 // --- tolerance classification ----------------------------------------------------
 
-struct TolCase {
-  vm::FaultPlan plan;
-  regions::ToleranceCase expected;
+struct ToleranceRun {
+  acl::ColumnDiff diff;
+  regions::ToleranceReport report;
 };
 
-regions::ToleranceReport tolerance_for(const Harness& h,
-                                       const vm::FaultPlan& plan) {
-  acl::DiffOptions dopts;
-  dopts.fault = plan;
-  const auto diff = acl::diff_run(h.mod, dopts);
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto insts = trace::segment_regions(span);
-  const auto inst = trace::find_instance(insts, h.rid, 0).value();
-  const auto events = trace::LocationEvents::build(span);
-  const auto slice = diff.faulty.slice(inst.body_begin(), inst.body_end());
+/// Diff `plan` against the golden run of `mod` and classify instance 0 of
+/// region `rid` (the instance as the fault-free run segments it).
+ToleranceRun tolerance_for(const ir::Module& mod, std::uint32_t rid,
+                           const vm::FaultPlan& plan) {
+  ToleranceRun run{testing_support::golden_diff(mod, plan), {}};
+  const auto& diff = run.diff;
+  const auto insts = trace::segment_regions(*diff.golden);
+  const auto inst = trace::find_instance(insts, rid, 0).value();
+  const auto events = trace::LocationEvents::build(diff.records());
+  const auto slice = diff.records().slice(inst.body_begin(), inst.body_end());
   const auto io = regions::classify_io(slice, events, inst);
   std::uint64_t fault_index = acl::kNoIndex;
   if (plan.kind == vm::FaultPlan::Kind::ResultBit) {
@@ -134,7 +133,13 @@ regions::ToleranceReport tolerance_for(const Harness& h,
   } else if (plan.kind == vm::FaultPlan::Kind::RegionInputMemoryBit) {
     fault_index = inst.enter_index;
   }
-  return regions::classify_tolerance(diff, inst, io, fault_index);
+  run.report = regions::classify_tolerance(diff, inst, io, fault_index);
+  return run;
+}
+
+regions::ToleranceReport tolerance_for(const Harness& h,
+                                       const vm::FaultPlan& plan) {
+  return tolerance_for(h.mod, h.rid, plan).report;
 }
 
 TEST(Tolerance, AdditiveRegionReducesErrorMagnitudeCase2) {
@@ -170,18 +175,10 @@ TEST(Tolerance, ErrorAmplifyingRegionIsNotTolerant) {
   auto mod = pb.finish();
   const auto in_addr = mod.global(*mod.find_global("in")).addr;
 
-  acl::DiffOptions dopts;
-  dopts.fault = vm::FaultPlan::region_input_bit(rid, 0, in_addr, 8, 51);
-  const auto diff = acl::diff_run(mod, dopts);
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto insts = trace::segment_regions(span);
-  const auto inst = trace::find_instance(insts, rid, 0).value();
-  const auto events = trace::LocationEvents::build(span);
-  const auto io = regions::classify_io(
-      diff.faulty.slice(inst.body_begin(), inst.body_end()), events, inst);
   const auto rep =
-      regions::classify_tolerance(diff, inst, io, inst.enter_index);
+      tolerance_for(mod, rid,
+                    vm::FaultPlan::region_input_bit(rid, 0, in_addr, 8, 51))
+          .report;
   EXPECT_EQ(rep.verdict, regions::ToleranceCase::NotTolerant);
   EXPECT_GT(rep.max_output_error, rep.max_input_error);
 }
@@ -215,22 +212,40 @@ TEST(Tolerance, MaskedRegionIsCase1) {
   auto mod = pb.finish();
   const auto tmp_addr = mod.global(*mod.find_global("tmp")).addr;
 
-  acl::DiffOptions dopts;
-  dopts.fault = vm::FaultPlan::region_input_bit(rid, 0, tmp_addr, 8, 60);
-  const auto diff = acl::diff_run(mod, dopts);
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto insts = trace::segment_regions(span);
-  const auto inst = trace::find_instance(insts, rid, 0).value();
-  const auto events = trace::LocationEvents::build(span);
-  const auto io = regions::classify_io(
-      diff.faulty.slice(inst.body_begin(), inst.body_end()), events, inst);
-  const auto rep =
-      regions::classify_tolerance(diff, inst, io, inst.enter_index);
+  const auto [diff, rep] = tolerance_for(
+      mod, rid, vm::FaultPlan::region_input_bit(rid, 0, tmp_addr, 8, 60));
   EXPECT_EQ(rep.verdict, regions::ToleranceCase::Case1Masked);
   EXPECT_EQ(rep.corrupted_outputs, 0u);
   // The faulty run's final output is identical to the clean run's.
   EXPECT_EQ(diff.faulty_result.outputs, diff.clean_result.outputs);
+}
+
+TEST(Tolerance, BranchFlipInsideRegionIsDivergent) {
+  // The region branches on its input: flipping the sign bit at region entry
+  // takes the other arm, so the faulty and fault-free streams part inside
+  // the region and cannot be compared record by record.
+  hl::ProgramBuilder pb("t");
+  auto in = pb.global_init_i64("in", {4});
+  auto out = pb.global_i64("out", 1);
+  const auto rid = pb.declare_region("r", 0, 0);
+  const auto fid = pb.declare_function("main");
+  {
+    auto f = pb.define(fid);
+    f.region(rid, [&] {
+      f.if_else(f.ld(in, 0).gt(2), [&] { f.st(out, 0, f.c_i64(111)); },
+                [&] { f.st(out, 0, f.c_i64(222)); });
+    });
+    f.emit(f.ld(out, 0));
+    f.ret();
+  }
+  auto mod = pb.finish();
+  const auto in_addr = mod.global(*mod.find_global("in")).addr;
+
+  const auto [diff, rep] = tolerance_for(
+      mod, rid, vm::FaultPlan::region_input_bit(rid, 0, in_addr, 8, 63));
+  ASSERT_TRUE(diff.diverged());
+  EXPECT_EQ(rep.verdict, regions::ToleranceCase::Divergent);
+  EXPECT_NE(diff.faulty_result.outputs, diff.clean_result.outputs);
 }
 
 TEST(Tolerance, NamesAreStable) {
